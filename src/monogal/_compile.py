@@ -265,8 +265,7 @@ class CompiledSystem:
         return self._pdir_fn(z.tolist(), x.tolist(), list(v))
 
     def residual(self, z: np.ndarray, x: np.ndarray) -> float:
-        out = self.value(z, x)
-        return float(np.max(np.abs(out)))
+        return float(np.abs(self.value(z, x)).max())
 
 
 def compiled_for(sys: GateSystem) -> CompiledSystem:

@@ -3,14 +3,21 @@
 Matrices and vectors are numpy arrays with complex entries. Everything here
 is a pure function on caller-owned data; tolerances are fixed (double
 precision only).
+
+`lu_solve` calls the LAPACK routines `zgetrf`/`zgetrs` directly, through
+the bindings scipy exposes; these are the routines behind
+`scipy.linalg.lu_factor`/`lu_solve`, without those functions' Python
+wrappers. The path tracker solves tens of thousands of 3x3 to 11x11 systems
+per run, and the wrappers cost several times the factorization itself. A
+pivot below 1e-14 times the largest column 2-norm counts as singular.
 """
 
 from __future__ import annotations
 
-import warnings
+import math
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import get_lapack_funcs
 
 __all__ = [
     "SingularMatrix",
@@ -25,6 +32,8 @@ __all__ = [
 
 _PIVOT_EPS = 1e-14
 _RANK_EPS = 1e-12
+
+_GETRF, _GETRS = get_lapack_funcs(("getrf", "getrs"), dtype=complex)
 
 
 class SingularMatrix(np.linalg.LinAlgError):
@@ -48,18 +57,22 @@ def lu_solve(a, b) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if b.shape != (a.shape[0],):
         raise ValueError(f"right-hand side shape {b.shape} does not match {a.shape}")
-    scale = float(np.max(np.linalg.norm(a, axis=0))) if a.size else 0.0
+    # sqrt of the largest squared column norm: sqrt is monotone and correctly
+    # rounded, so this has the bits of max(np.linalg.norm(a, axis=0)).
+    scale = math.sqrt(np.maximum.reduce(np.add.reduce((a.conj() * a).real, 0))) if a.size else 0.0
     if scale == 0.0:
         raise SingularMatrix("zero matrix")
-    with warnings.catch_warnings():
-        # The pivot check below is the singularity detector; scipy's own
-        # exact-zero-diagonal warning would just duplicate it as noise.
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    if np.min(pivots) < _PIVOT_EPS * scale:
-        raise SingularMatrix(f"pivot {np.min(pivots):.3e} below threshold {_PIVOT_EPS * scale:.3e}")
-    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    # An exactly zero pivot (getrf info > 0) fails the pivot check below.
+    lu, piv, info = _GETRF(a)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of getrf")
+    pivot = np.minimum.reduce(np.abs(lu.diagonal()))
+    if pivot < _PIVOT_EPS * scale:
+        raise SingularMatrix(f"pivot {pivot:.3e} below threshold {_PIVOT_EPS * scale:.3e}")
+    x, info = _GETRS(lu, piv, b)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of getrs")
+    return x
 
 
 def numerical_rank(a) -> int:

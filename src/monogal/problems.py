@@ -161,14 +161,19 @@ def p3p_fabricate_scene(rng: np.random.Generator):
 
     Samples a real Cayley rotation and translation plus three generic real 3D
     points, then reads off unit image directions, positive depths, and the
-    instance data c_ij = p_i . p_j, d_ij = |q_i - q_j|^2.
+    instance data c_ij = p_i . p_j, d_ij = |q_i - q_j|^2. Draws whose unit
+    image directions are nearly coplanar (|det p| < 2e-2) are redrawn: the
+    camera centre then lies near the plane of the points, four of the eight
+    solutions lie near infinity, and the affine tracker cannot follow paths
+    to them. An accepted draw consumes no randomness beyond its own.
 
     Returns:
         (P3PInstance, P3PSolution, CameraPose, directions (3x3, rows p_i),
         points (3x3, rows q_i)).
 
     Raises:
-        DegenerateSample: 100 attempts all hit collinear points or tiny depths.
+        DegenerateSample: 100 attempts all hit collinear points, tiny depths
+            or nearly coplanar image directions.
     """
     sysm = p3p_system()
     for _ in range(100):
@@ -186,6 +191,8 @@ def p3p_fabricate_scene(rng: np.random.Generator):
         if lam.min() < 1e-2:
             continue
         p = y / lam[:, None]
+        if abs(np.linalg.det(p)) < 2e-2:
+            continue
         inst = P3PInstance(
             c12=complex(p[0] @ p[1]),
             c13=complex(p[0] @ p[2]),

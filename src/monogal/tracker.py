@@ -18,7 +18,7 @@ identical results bit for bit.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -63,6 +63,9 @@ class PathSegment:
     z_end: np.ndarray
     gamma_start: complex = 1.0 + 0j
     gamma_end: complex = 1.0 + 0j
+    # t-independent parts of phi'(t), set in __post_init__.
+    _dnum: np.ndarray = field(init=False, repr=False, compare=False)
+    _dden: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "z_start", np.asarray(self.z_start, dtype=complex))
@@ -74,6 +77,9 @@ class PathSegment:
         for g in (self.gamma_start, self.gamma_end):
             if abs(abs(g) - 1.0) > 1e-12:
                 raise ValueError(f"gamma {g} is not unit modulus")
+        g0, g1 = self.gamma_start, self.gamma_end
+        object.__setattr__(self, "_dnum", g1 * self.z_end - g0 * self.z_start)
+        object.__setattr__(self, "_dden", g1 - g0)
 
 
 @dataclass(frozen=True)
@@ -134,9 +140,7 @@ def _segment_eval(seg: PathSegment, t: float) -> tuple[np.ndarray, np.ndarray]:
         raise DegeneratePath(f"segment denominator ~0 at t={t}")
     num = (1.0 - t) * g0 * seg.z_start + t * g1 * seg.z_end
     phi = num / den
-    dden = g1 - g0
-    dnum = g1 * seg.z_end - g0 * seg.z_start
-    dphi = (dnum - phi * dden) / den
+    dphi = (seg._dnum - phi * seg._dden) / den
     return phi, dphi
 
 
@@ -163,43 +167,28 @@ def path_tangent(seg: PathSegment, t: float) -> np.ndarray:
 
 
 def _maxabs(v: np.ndarray) -> float:
-    return float(np.max(np.abs(v))) if v.size else 0.0
-
-
-def _newton_refine(comp, z: np.ndarray, x: np.ndarray, iters: int) -> RefineOutcome:
-    """iters Newton steps at fixed parameters; stops early at rounding level."""
-    x = np.array(x, dtype=complex)
-    res = comp.residual(z, x)
-    for _ in range(iters):
-        if res <= 1e-15 * (1.0 + _maxabs(x)):
-            break
-        f, jac = comp.value_and_jac(z, x)
-        x = x + lu_solve(jac, -f)
-        res = comp.residual(z, x)
-    return RefineOutcome(x, res)
+    return float(np.abs(v).max()) if v.size else 0.0
 
 
 def refine(sys: GateSystem, z, x, iters: int) -> RefineOutcome:
     """Newton-polishes x against sys at fixed parameters z.
 
     Square systems take exact Newton steps; overdetermined ones take
-    Gauss-Newton steps through a least-squares solve. Returns the last
-    iterate together with its final residual (max absolute output value).
-    SingularMatrix from the Jacobian solve propagates.
+    Gauss-Newton steps through a least-squares solve. Stops early once the
+    residual is at rounding level. Returns the last iterate together with
+    its final residual (max absolute output value). SingularMatrix from the
+    Jacobian solve propagates.
     """
     z = np.asarray(z, dtype=complex)
-    x = np.asarray(x, dtype=complex)
-    comp = compiled_for(sys)
-    if sys.num_outputs == sys.num_unknowns:
-        return _newton_refine(comp, z, x, iters)
     x = np.array(x, dtype=complex)
+    comp = compiled_for(sys)
+    square = sys.num_outputs == sys.num_unknowns
     res = comp.residual(z, x)
     for _ in range(iters):
         if res <= 1e-15 * (1.0 + _maxabs(x)):
             break
         f, jac = comp.value_and_jac(z, x)
-        step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
-        x = x + step
+        x = x + (lu_solve(jac, -f) if square else np.linalg.lstsq(jac, -f, rcond=None)[0])
         res = comp.residual(z, x)
     return RefineOutcome(x, res)
 
@@ -280,7 +269,7 @@ def track(sys: GateSystem, seg: PathSegment, x_start, opts: TrackerOptions | Non
 
     # Endpoint refinement at the exact target parameters.
     try:
-        x, res = _newton_refine(comp, seg.z_end, x, opts.endpoint_refine_iters)
+        x, res = refine(sys, seg.z_end, x, opts.endpoint_refine_iters)
     except (SingularMatrix, EvaluationSingular):
         return TrackResult(TrackStatus.SingularEndpoint, x, steps, 1.0)
     if res <= 10.0 * tol and _maxabs(x) <= _DIVERGENCE_BOUND:

@@ -88,6 +88,33 @@ def test_monodromy_p3p_output_files(capsys, tmp_path):
     assert group_path.read_text().endswith("\n")
 
 
+def test_monodromy_p3p_golden_stdout(capsys):
+    # Captured before the tracker's linear solve moved from scipy's wrappers
+    # to direct LAPACK calls; any change to a tracked bit can move these counts.
+    code, out, _ = run_cli(capsys, "monodromy", "p3p", "--seed", "1")
+    assert code == 0
+    assert out == (
+        "solutions: 8\n"
+        "loops: 60\n"
+        "paths: 232\n"
+        "failures: 0\n"
+        "stopped: stabilization\n"
+        "order: 192\n"
+        "blocks: 4 x 2\n"
+        "even: true\n"
+        "galois width: 3\n"
+    )
+
+
+@pytest.mark.parametrize("seed", ["1682239577", "1875860591", "14181"])
+def test_monodromy_p3p_nearly_coplanar_seeds_now_solve(capsys, seed):
+    # Without the fabricator's coplanarity guard these seeds drew instances
+    # with four solutions near infinity, and the run exited 4.
+    code, out, _ = run_cli(capsys, "monodromy", "p3p", "--seed", seed)
+    assert code == 0
+    assert "solutions: 8" in out
+
+
 def test_monodromy_stdout_is_deterministic(capsys):
     _, first, _ = run_cli(capsys, "monodromy", "p3p", "--seed", "3")
     _, second, _ = run_cli(capsys, "monodromy", "p3p", "--seed", "3")

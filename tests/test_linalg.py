@@ -48,6 +48,59 @@ def test_lu_solve_singular():
         lu_solve(np.zeros((2, 2)), np.ones(2))
 
 
+def solve_outcome(solve, a, b):
+    """("ok", solution) or ("singular", message) for one solve."""
+    try:
+        return "ok", solve(a, b)
+    except SingularMatrix as exc:
+        return "singular", str(exc)
+
+
+def assert_same_outcome(a, b, reference):
+    got, want = solve_outcome(lu_solve, a, b), solve_outcome(reference, a, b)
+    assert got[0] == want[0]
+    if got[0] == "ok":
+        assert got[1].dtype == want[1].dtype and np.array_equal(got[1], want[1])
+    else:
+        assert got[1] == want[1]
+    return got[0]
+
+
+def test_lu_solve_bitwise_equals_scipy_wrappers(scipy_lu_solve):
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 11):
+        b = random_complex(rng, n)
+        assert assert_same_outcome(np.zeros((n, n)), b, scipy_lu_solve) == "singular"
+        for _ in range(20):
+            a = 10.0 ** rng.uniform(-6, 6) * random_complex(rng, n, n)
+            assert assert_same_outcome(a, random_complex(rng, n), scipy_lu_solve) == "ok"
+        # Fortran order and real input take the same path.
+        assert_same_outcome(np.asfortranarray(a), b, scipy_lu_solve)
+        assert_same_outcome(rng.standard_normal((n, n)), rng.standard_normal(n), scipy_lu_solve)
+        if n == 1:
+            continue
+        # A column duplicated up to a relative perturbation of 1e-17 to
+        # 1e-12: the last pivot crosses the 1e-14 threshold inside the sweep.
+        base = random_complex(rng, n, n)
+        noise = random_complex(rng, n)
+        outcomes = set()
+        for eps in np.logspace(-17, -12, 41):
+            a = base.copy()
+            a[:, -1] = a[:, 0] + eps * np.abs(a[:, 0]).max() * noise
+            outcomes.add(assert_same_outcome(a, b, scipy_lu_solve))
+        assert outcomes == {"ok", "singular"}
+
+
+def test_lu_solve_pivot_threshold_boundary(scipy_lu_solve):
+    # Diagonal matrices: the pivot is p and the scale 1, so the threshold is
+    # exactly 1e-14, and a pivot equal to it passes.
+    for p, expect in ((np.nextafter(1e-14, 0.0), "singular"), (1e-14, "ok"), (np.nextafter(1e-14, 1.0), "ok")):
+        a = np.diag([1.0, 0.5, p]).astype(complex)
+        assert assert_same_outcome(a, np.ones(3), scipy_lu_solve) == expect
+    # Squares of 1e-170 underflow, so the column norms read zero.
+    assert assert_same_outcome(1e-170 * np.eye(3), np.ones(3), scipy_lu_solve) == "singular"
+
+
 def test_lu_solve_shape_errors():
     with pytest.raises(ValueError):
         lu_solve(np.ones((2, 3)), np.ones(2))

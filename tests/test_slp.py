@@ -267,6 +267,14 @@ def test_parse_multiple_equations_and_imaginary_unit():
     assert np.allclose(evaluate(sysm, z, x), [expect0, expect1])
 
 
+def test_parse_equations_are_semicolon_separated():
+    sysm = parse_system("params a; unknowns x, y; eqs x - a; y - a;")
+    assert sysm.num_outputs == 2
+    assert np.allclose(evaluate(sysm, [2.0], [3.0, 5.0]), [1.0, 3.0])
+    with pytest.raises(ParseError):
+        parse_system("params a; unknowns x, y; eqs x - a, y - a;")
+
+
 def test_parse_matches_builder():
     built = quadratic_system()
     parsed = parse_system("params z; unknowns x; eqs x^2 - z;")

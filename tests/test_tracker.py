@@ -3,6 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from monogal import tracker
+from monogal.problems import p3p_conic_solve, p3p_fabricate, p3p_system
 from monogal.slp import SystemBuilder, residual
 from monogal.tracker import (
     DegeneratePath,
@@ -83,6 +85,22 @@ def test_path_tangent_matches_finite_differences():
     for t in (0.1, 0.5, 0.9):
         fd = (path_point(seg, t + h) - path_point(seg, t - h)) / (2.0 * h)
         assert np.abs(path_tangent(seg, t) - fd).max() < 1e-6
+
+
+def test_path_point_and_tangent_bitwise_match_inline_formula():
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        z0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        z1 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        g0, g1 = unit_gamma(rng), unit_gamma(rng)
+        seg = PathSegment(z0, z1, g0, g1)
+        for t in rng.random(5):
+            t = float(t)
+            den = (1.0 - t) * g0 + t * g1
+            phi = ((1.0 - t) * g0 * z0 + t * g1 * z1) / den
+            dphi = ((g1 * z1 - g0 * z0) - phi * (g1 - g0)) / den
+            assert np.array_equal(path_point(seg, t), phi)
+            assert np.array_equal(path_tangent(seg, t), dphi)
 
 
 def test_straight_segment_is_linear():
@@ -209,6 +227,26 @@ def test_track_many_order_and_independence():
     for i in range(3):
         for j in range(i + 1, 3):
             assert abs(endpoints[i] - endpoints[j]) > 1e-3
+
+
+def test_track_bitwise_equal_with_scipy_solve(monkeypatch, scipy_lu_solve):
+    # The direct LAPACK solve must not move a single bit of a tracked path.
+    rng = np.random.default_rng(5)
+    inst, _ = p3p_fabricate(rng)
+    target, _ = p3p_fabricate(rng)
+    seg = PathSegment(inst.as_params(), target.as_params(), unit_gamma(rng), unit_gamma(rng))
+    sysm = p3p_system()
+    starts = [sol.as_vector() for sol in p3p_conic_solve(inst)]
+    shipped = track_many(sysm, seg, starts)
+    monkeypatch.setattr(tracker, "lu_solve", scipy_lu_solve)
+    reference = track_many(sysm, seg, starts)
+    assert len(starts) == 8 and all(r.success for r in shipped)
+    for got, want in zip(shipped, reference):
+        assert got.status is want.status
+        assert got.steps_taken == want.steps_taken
+        assert got.t_reached == want.t_reached
+        assert got.endpoint.dtype == want.endpoint.dtype
+        assert np.array_equal(got.endpoint, want.endpoint)
 
 
 # ------------------------------------------------------------
