@@ -1,26 +1,32 @@
 """Per-system compiled evaluators (internal).
 
-The public slp operations interpret the DAG directly, which is the semantic
-reference. Path tracking evaluates systems tens of thousands of times, so
-this module generates straight-line Python once per system: a value function,
-a combined value-plus-Jacobian function (partials w.r.t. unknowns, obtained
-by symbolic forward-mode differentiation of the DAG), and a directional
-parameter derivative (df/dz) @ v. Squared-up systems reuse their parent's
-compiled functions composed with the retained coefficient matrix.
+Path tracking evaluates systems tens of thousands of times, so this module
+generates straight-line Python once per system: a value function, a combined
+value-plus-Jacobian function (partials w.r.t. unknowns) and a directional
+parameter derivative (df/dz) @ v. The derivatives come from the one symbolic
+forward-mode differentiation in slp (_differentiate); this module only
+emits code for the arenas it returns. Squared-up systems reuse their
+parent's compiled functions composed with the retained coefficient matrix.
+The public slp evaluation functions call these evaluators.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .slp import EvaluationSingular, GateSystem, _Normalizer
+from .slp import _DIV_EPS, EvaluationSingular, GateSystem, _differentiate, _reachable
 
 __all__ = ["CompiledSystem", "compiled_for"]
 
-_PREAMBLE = {"np": np, "EvaluationSingular": EvaluationSingular, "abs": abs}
+_INF, _NAN = float("inf"), float("nan")
+# repr() of a non-finite complex constant names inf, nan, infj or nanj.
+_PREAMBLE = {
+    "np": np, "EvaluationSingular": EvaluationSingular, "abs": abs,
+    "inf": _INF, "nan": _NAN, "infj": complex(0.0, _INF), "nanj": complex(0.0, _NAN),
+}
 
 
-def _emit_node_line(lines: list[str], nid: int, node: tuple) -> None:
+def _emit_node_line(lines: list[str], nid: int, node: tuple, pole_check: bool) -> None:
     tag = node[0]
     if tag == "const":
         lines.append(f"    v{nid} = {node[1]!r}")
@@ -28,6 +34,8 @@ def _emit_node_line(lines: list[str], nid: int, node: tuple) -> None:
         lines.append(f"    v{nid} = x[{node[1]}]")
     elif tag == "par":
         lines.append(f"    v{nid} = z[{node[1]}]")
+    elif tag == "dir":
+        lines.append(f"    v{nid} = v[{node[1]}]")
     elif tag == "add":
         lines.append(f"    v{nid} = v{node[1]} + v{node[2]}")
     elif tag == "sub":
@@ -35,10 +43,11 @@ def _emit_node_line(lines: list[str], nid: int, node: tuple) -> None:
     elif tag == "mul":
         lines.append(f"    v{nid} = v{node[1]} * v{node[2]}")
     elif tag == "div":
-        lines.append(
-            f"    if abs(v{node[2]}) < 1e-14 * (1.0 + abs(v{node[1]})): "
-            f"raise EvaluationSingular('denominator ~0 in node {nid}')"
-        )
+        if pole_check:
+            lines.append(
+                f"    if abs(v{node[2]}) < {_DIV_EPS!r} * (1.0 + abs(v{node[1]})): "
+                f"raise EvaluationSingular('denominator ~0 in node {nid}')"
+            )
         lines.append(f"    v{nid} = v{node[1]} / v{node[2]}")
     elif tag == "neg":
         lines.append(f"    v{nid} = -v{node[1]}")
@@ -46,185 +55,59 @@ def _emit_node_line(lines: list[str], nid: int, node: tuple) -> None:
         lines.append(f"    v{nid} = v{node[1]} ** {node[2]}")
 
 
-def _compile_src(name: str, src: str):
+def _compile_src(name: str, lines: list[str]):
     namespace = dict(_PREAMBLE)
-    exec(compile(src, f"<monogal:{name}>", "exec"), namespace)
+    exec(compile("\n".join(lines), f"<monogal:{name}>", "exec"), namespace)
     return namespace[name]
 
 
+def _body(header: str, nodes, roots, poles) -> list[str]:
+    """The header line plus one line per node reachable from roots or poles;
+    only the divisions in poles check for a vanishing denominator."""
+    poles = set(poles)
+    lines = [header]
+    for nid in _reachable(nodes, [*roots, *poles]):
+        _emit_node_line(lines, nid, nodes[nid], nid in poles)
+    return lines
+
+
 def _gen_value(sys: GateSystem):
-    lines = ["def _value(z, x):"]
-    for nid in sys.reachable():
-        _emit_node_line(lines, nid, sys.nodes[nid])
+    poles = [nid for nid in sys.reachable() if sys.nodes[nid][0] == "div"]
+    lines = _body("def _value(z, x):", sys.nodes, sys.outputs, poles)
     outs = ", ".join(f"v{o}" for o in sys.outputs)
     lines.append(f"    return np.array([{outs}], dtype=complex)")
-    return _compile_src("_value", "\n".join(lines))
-
-
-def _reachable_of(nodes: list[tuple], roots: list[int]) -> list[int]:
-    seen = set(roots)
-    for nid in range(len(nodes) - 1, -1, -1):
-        if nid in seen:
-            node = nodes[nid]
-            tag = node[0]
-            if tag in ("add", "sub", "mul", "div"):
-                seen.add(node[1])
-                seen.add(node[2])
-            elif tag == "neg" or tag == "pow":
-                seen.add(node[1])
-    return sorted(seen)
+    return _compile_src("_value", lines)
 
 
 def _gen_value_and_jac(sys: GateSystem):
-    """Symbolically differentiates the DAG w.r.t. every unknown, then emits
-    one straight-line function returning (outputs, Jacobian)."""
+    """Emits one straight-line function returning (outputs, Jacobian)."""
     n_unk = sys.num_unknowns
-    norm = _Normalizer()
-    mapping: dict[int, int] = {}
-    ders: dict[int, list] = {}
-    one = None
-    for nid in sys.reachable():
-        node = sys.nodes[nid]
-        tag = node[0]
-        mapping[nid] = norm.rebuild(node, mapping.__getitem__)
-        if tag == "const" or tag == "par":
-            ders[nid] = [None] * n_unk
-        elif tag == "unk":
-            if one is None:
-                one = norm.const(1.0)
-            d = [None] * n_unk
-            d[node[1]] = one
-            ders[nid] = d
-        elif tag == "add":
-            da, db = ders[node[1]], ders[node[2]]
-            ders[nid] = [
-                b if a is None else a if b is None else norm.add(a, b)
-                for a, b in zip(da, db)
-            ]
-        elif tag == "sub":
-            da, db = ders[node[1]], ders[node[2]]
-            ders[nid] = [
-                a if b is None else (norm.neg(b) if a is None else norm.sub(a, b))
-                for a, b in zip(da, db)
-            ]
-        elif tag == "mul":
-            a, b = node[1], node[2]
-            ma, mb = mapping[a], mapping[b]
-            d = []
-            for da, db in zip(ders[a], ders[b]):
-                if da is None and db is None:
-                    d.append(None)
-                elif da is None:
-                    d.append(norm.mul(ma, db))
-                elif db is None:
-                    d.append(norm.mul(da, mb))
-                else:
-                    d.append(norm.add(norm.mul(da, mb), norm.mul(ma, db)))
-            ders[nid] = d
-        elif tag == "div":
-            a, b = node[1], node[2]
-            mb = mapping[b]
-            q = mapping[nid]
-            d = []
-            for da, db in zip(ders[a], ders[b]):
-                if da is None and db is None:
-                    d.append(None)
-                elif db is None:
-                    d.append(norm.div(da, mb))
-                elif da is None:
-                    d.append(norm.div(norm.neg(norm.mul(q, db)), mb))
-                else:
-                    d.append(norm.div(norm.sub(da, norm.mul(q, db)), mb))
-            ders[nid] = d
-        elif tag == "neg":
-            ders[nid] = [None if da is None else norm.neg(da) for da in ders[node[1]]]
-        else:  # pow
-            a, k = node[1], node[2]
-            if k == 0:
-                ders[nid] = [None] * n_unk
-            elif k == 1:
-                ders[nid] = list(ders[a])
-            else:
-                factor = norm.mul(norm.const(float(k)), norm.pow(mapping[a], k - 1))
-                ders[nid] = [
-                    None if da is None else norm.mul(factor, da) for da in ders[a]
-                ]
-
-    f_ids = [mapping[o] for o in sys.outputs]
-    jac_entries = [(row, col, ders[o][col]) for row, o in enumerate(sys.outputs) for col in range(n_unk) if ders[o][col] is not None]
-    roots = f_ids + [did for _, _, did in jac_entries]
-    lines = ["def _vj(z, x):"]
-    for nid in _reachable_of(norm.nodes, roots):
-        _emit_node_line(lines, nid, norm.nodes[nid])
-    outs = ", ".join(f"v{o}" for o in f_ids)
+    one = ("const", complex(1.0))
+    seeds = {("unk", j): [one if col == j else None for col in range(n_unk)] for j in range(n_unk)}
+    d = _differentiate(sys, seeds)
+    entries = [(row, col, did) for row, cols in enumerate(d.derivatives)
+               for col, did in enumerate(cols) if did is not None]
+    lines = _body("def _vj(z, x):", d.nodes, d.values + [did for _, _, did in entries], d.poles)
+    outs = ", ".join(f"v{o}" for o in d.values)
     lines.append(f"    f = np.array([{outs}], dtype=complex)")
     lines.append(f"    J = np.zeros(({sys.num_outputs}, {n_unk}), dtype=complex)")
-    for row, col, did in jac_entries:
+    for row, col, did in entries:
         lines.append(f"    J[{row}, {col}] = v{did}")
     lines.append("    return f, J")
-    return _compile_src("_vj", "\n".join(lines))
+    return _compile_src("_vj", lines)
 
 
 def _gen_param_dir(sys: GateSystem):
-    """Dual-number codegen for the directional derivative (df/dz) @ v."""
-    lines = ["def _pdir(z, x, v):"]
-    dep: dict[int, bool] = {}
-    for nid in sys.reachable():
-        node = sys.nodes[nid]
-        tag = node[0]
-        _emit_node_line(lines, nid, node)
-        if tag == "par":
-            dep[nid] = True
-            lines.append(f"    d{nid} = v[{node[1]}]")
-        elif tag in ("const", "unk"):
-            dep[nid] = False
-        elif tag in ("add", "sub"):
-            a, b = node[1], node[2]
-            dep[nid] = dep[a] or dep[b]
-            op = "+" if tag == "add" else "-"
-            if dep[a] and dep[b]:
-                lines.append(f"    d{nid} = d{a} {op} d{b}")
-            elif dep[a]:
-                lines.append(f"    d{nid} = d{a}")
-            elif dep[b]:
-                lines.append(f"    d{nid} = d{b}" if tag == "add" else f"    d{nid} = -d{b}")
-        elif tag == "mul":
-            a, b = node[1], node[2]
-            dep[nid] = dep[a] or dep[b]
-            if dep[a] and dep[b]:
-                lines.append(f"    d{nid} = d{a} * v{b} + v{a} * d{b}")
-            elif dep[a]:
-                lines.append(f"    d{nid} = d{a} * v{b}")
-            elif dep[b]:
-                lines.append(f"    d{nid} = v{a} * d{b}")
-        elif tag == "div":
-            a, b = node[1], node[2]
-            dep[nid] = dep[a] or dep[b]
-            if dep[a] and dep[b]:
-                lines.append(f"    d{nid} = (d{a} - v{nid} * d{b}) / v{b}")
-            elif dep[a]:
-                lines.append(f"    d{nid} = d{a} / v{b}")
-            elif dep[b]:
-                lines.append(f"    d{nid} = -v{nid} * d{b} / v{b}")
-        elif tag == "neg":
-            a = node[1]
-            dep[nid] = dep[a]
-            if dep[a]:
-                lines.append(f"    d{nid} = -d{a}")
-        else:  # pow
-            a, k = node[1], node[2]
-            dep[nid] = dep[a] and k != 0
-            if dep[nid]:
-                if k == 1:
-                    lines.append(f"    d{nid} = d{a}")
-                else:
-                    lines.append(f"    d{nid} = {k} * v{a} ** {k - 1} * d{a}")
+    """Emits the directional derivative (df/dz) @ v."""
+    seeds = {("par", i): [("dir", i)] for i in range(sys.num_parameters)}
+    d = _differentiate(sys, seeds)
+    entries = [(row, cols[0]) for row, cols in enumerate(d.derivatives) if cols[0] is not None]
+    lines = _body("def _pdir(z, x, v):", d.nodes, [did for _, did in entries], d.poles)
     lines.append(f"    out = np.zeros({sys.num_outputs}, dtype=complex)")
-    for row, o in enumerate(sys.outputs):
-        if dep[o]:
-            lines.append(f"    out[{row}] = d{o}")
+    for row, did in entries:
+        lines.append(f"    out[{row}] = v{did}")
     lines.append("    return out")
-    return _compile_src("_pdir", "\n".join(lines))
+    return _compile_src("_pdir", lines)
 
 
 class CompiledSystem:
@@ -234,16 +117,10 @@ class CompiledSystem:
         self.sys = sys
         parent = sys.squareup_parent
         if parent is not None and sys.squareup_coeffs is not None:
-            base = compiled_for(parent)
-            coeffs = np.asarray(sys.squareup_coeffs, dtype=complex)
-            self._base = base
-            self._coeffs = coeffs
-            self._value_fn = None
-            self._vj_fn = None
-            self._pdir_fn = None
+            self._base = compiled_for(parent)
+            self._coeffs = np.asarray(sys.squareup_coeffs, dtype=complex)
         else:
             self._base = None
-            self._coeffs = None
             self._value_fn = _gen_value(sys)
             self._vj_fn = _gen_value_and_jac(sys)
             self._pdir_fn = _gen_param_dir(sys)

@@ -5,8 +5,9 @@ flows from one seeded generator per invocation, so identical seeds and flags
 reproduce identical bytes on stdout and in written files.
 
 Exit codes: 0 success, 1 path failures in track, 2 bad input (unknown
-problem, parse error, invalid probability), 3 rank failure, 4 tracking
-collapse, 5 unsupported group (analysis output already written).
+problem, parse error, unreadable or mis-shaped solutions JSON, invalid
+option or probability), 3 rank failure, 4 tracking collapse, 5 unsupported
+group (analysis output already written).
 """
 
 from __future__ import annotations
@@ -80,30 +81,54 @@ def cmd_fabricate(args) -> int:
 # ------------------------------------------------------------
 
 
-def _load_system_and_seed(args, rng):
-    """Returns (system, z0, x0, problem-or-None) or an exit code."""
-    problem = PROBLEMS.get(args.system)
+def _load_system(name: str):
+    """Returns (system, problem-or-None) for a problem name or a system
+    source file, or an exit code."""
+    problem = PROBLEMS.get(name)
     if problem is not None:
-        sysm = problem.build_system()
-        z0, x0 = problem.fabricate(rng)
-        return sysm, z0, x0, problem
-    path = Path(args.system)
+        return problem.build_system(), problem
+    path = Path(name)
     if not path.is_file():
-        _err(f"unknown problem or missing file {args.system!r}")
+        _err(f"unknown problem or missing file {name!r}")
         return EXIT_BAD_INPUT
     try:
-        sysm = parse_system(path.read_text())
+        return parse_system(path.read_text()), None
     except ParseError as exc:
-        _err(f"cannot parse {args.system}: {exc}")
+        _err(f"cannot parse {name}: {exc}")
         return EXIT_BAD_INPUT
+
+
+def _read_solutions(path: str, sysm: GateSystem, what: str):
+    """Returns (parameters, solutions) from a solutions JSON whose vectors
+    fit sysm, or an exit code."""
+    try:
+        z, sols, _ = decode_solutions(Path(path).read_text())
+    except (OSError, KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
+        _err(f"cannot read {what}: {exc}")
+        return EXIT_BAD_INPUT
+    if z.shape != (sysm.num_parameters,) or any(x.shape != (sysm.num_unknowns,) for x in sols):
+        _err(f"{what} do not fit the system: it has {sysm.num_parameters} parameters "
+             f"and {sysm.num_unknowns} unknowns")
+        return EXIT_BAD_INPUT
+    return z, sols
+
+
+def _load_system_and_seed(args, rng):
+    """Returns (system, z0, x0, problem-or-None) or an exit code."""
+    loaded = _load_system(args.system)
+    if isinstance(loaded, int):
+        return loaded
+    sysm, problem = loaded
+    if problem is not None:
+        z0, x0 = problem.fabricate(rng)
+        return sysm, z0, x0, problem
     if getattr(args, "start", None) is None:
         _err("file-based systems require --start with a solutions JSON")
         return EXIT_BAD_INPUT
-    try:
-        z0, sols, _ = decode_solutions(Path(args.start).read_text())
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        _err(f"cannot read start solutions: {exc}")
-        return EXIT_BAD_INPUT
+    read = _read_solutions(args.start, sysm, "start solutions")
+    if isinstance(read, int):
+        return read
+    z0, sols = read
     if not sols:
         _err("start solutions JSON contains no solutions")
         return EXIT_BAD_INPUT
@@ -111,6 +136,15 @@ def _load_system_and_seed(args, rng):
 
 
 def cmd_monodromy(args) -> int:
+    try:
+        opts = RunOptions(
+            stabilization_limit=args.stabilization,
+            saturate=args.saturate,
+            target_count=args.target_count,
+        )
+    except ValueError as exc:
+        _err(str(exc))
+        return EXIT_BAD_INPUT
     rng = np.random.default_rng(args.seed)
     loaded = _load_system_and_seed(args, rng)
     if isinstance(loaded, int):
@@ -124,6 +158,7 @@ def cmd_monodromy(args) -> int:
             return EXIT_BAD_INPUT
         equivalencer = problem.equivalencers[args.equivalencer]
 
+    original = sysm
     try:
         if sysm.num_outputs > sysm.num_unknowns:
             sysm = square_up(sysm, z0, x0, rng)
@@ -138,11 +173,6 @@ def cmd_monodromy(args) -> int:
         print(f"nodes: {len(graph.nodes)}")
         print(f"edges: {len(graph.edges)}")
 
-    opts = RunOptions(
-        stabilization_limit=args.stabilization,
-        saturate=args.saturate,
-        target_count=args.target_count,
-    )
     try:
         result = run(graph, opts)
     except TrackFailureRate as exc:
@@ -157,7 +187,7 @@ def cmd_monodromy(args) -> int:
     print(f"stopped: {result.stopped_by.value}")
 
     if args.out_solutions is not None:
-        doc = encode_solutions(z0, result.solutions, _residuals(sysm, z0, result.solutions))
+        doc = encode_solutions(z0, result.solutions, _residuals(original, z0, result.solutions))
         Path(args.out_solutions).write_text(json.dumps(doc, indent=2) + "\n")
     if args.out_group is not None:
         Path(args.out_group).write_text(export_perm_script(result.permutations) + "\n")
@@ -200,25 +230,18 @@ def _report_group(G: groupmod.PermGroup, summary_blocks: bool,
 
 def cmd_track(args) -> int:
     rng = np.random.default_rng(args.seed)
-    problem = PROBLEMS.get(args.system)
-    if problem is not None:
-        sysm = problem.build_system()
-    else:
-        path = Path(args.system)
-        if not path.is_file():
-            _err(f"unknown problem or missing file {args.system!r}")
-            return EXIT_BAD_INPUT
-        try:
-            sysm = parse_system(path.read_text())
-        except ParseError as exc:
-            _err(f"cannot parse {args.system}: {exc}")
-            return EXIT_BAD_INPUT
-    try:
-        z_start, starts, _ = decode_solutions(Path(args.starts).read_text())
-        z_target, _, _ = decode_solutions(Path(args.target).read_text())
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        _err(f"cannot read solutions JSON: {exc}")
-        return EXIT_BAD_INPUT
+    loaded = _load_system(args.system)
+    if isinstance(loaded, int):
+        return loaded
+    sysm, problem = loaded
+    read = _read_solutions(args.starts, sysm, "start solutions")
+    if isinstance(read, int):
+        return read
+    z_start, starts = read
+    read = _read_solutions(args.target, sysm, "target solutions")
+    if isinstance(read, int):
+        return read
+    z_target = read[0]
     if not starts:
         _err("no start solutions given")
         return EXIT_BAD_INPUT

@@ -3,15 +3,22 @@
 A system of polynomial/rational equations in named unknowns and parameters is
 stored as an expression DAG ("gate system"): a flat arena of nodes where every
 child id precedes its parents, plus a list of output root ids. The module
-provides a text parser for a small system-source grammar, evaluation over
-complex numbers, forward-mode Jacobians, DAG compression (constant folding,
-identity elimination, CSE), and squaring-up of overdetermined systems by
-random complex linear combinations.
+provides a text parser for a small system-source grammar, DAG compression
+(constant folding, identity elimination, CSE), squaring-up of overdetermined
+systems by random complex linear combinations, and the one symbolic
+forward-mode differentiation of the DAG (_differentiate), which yields
+df/dx or (df/dz) @ v as nodes of a hash-consed arena.
+
+Evaluation is generated code: _compile emits straight-line Python once per
+system for the values, for (values, df/dx) and for (df/dz) @ v, and the
+public evaluate, jacobian_unknowns, jacobian_parameters and residual call
+it. A squared-up system is evaluated as its coefficient matrix times its
+parent's outputs.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,6 +45,8 @@ __all__ = [
 #   ("const", complex)   ("unk", index)   ("par", index)
 #   ("add", a, b) ("sub", a, b) ("mul", a, b) ("div", a, b)
 #   ("neg", a)    ("pow", a, k)  with integer k >= 0
+# Derivative arenas built by _differentiate() may also hold ("dir", index),
+# the index-th entry of a parameter direction v.
 _LEAF_TAGS = ("const", "unk", "par")
 _BINARY_TAGS = ("add", "sub", "mul", "div")
 
@@ -73,6 +82,22 @@ class DuplicateIdentifier(ParseError):
 # ============================================================
 # Gate systems
 # ============================================================
+
+
+def _reachable(nodes: Sequence[tuple], roots: Iterable[int]) -> tuple[int, ...]:
+    """Ids of the nodes reachable from roots, ascending (valid evaluation order)."""
+    seen = set(roots)
+    # Children precede parents, so one reverse sweep closes the set.
+    for nid in range(len(nodes) - 1, -1, -1):
+        if nid in seen:
+            node = nodes[nid]
+            tag = node[0]
+            if tag in _BINARY_TAGS:
+                seen.add(node[1])
+                seen.add(node[2])
+            elif tag == "neg" or tag == "pow":
+                seen.add(node[1])
+    return tuple(sorted(seen))
 
 
 class GateSystem:
@@ -162,18 +187,7 @@ class GateSystem:
         """Ids of nodes reachable from the outputs, ascending (valid evaluation order)."""
         cached = self._cache.get("reachable")
         if cached is None:
-            seen = set(self.outputs)
-            # Children precede parents, so one reverse sweep closes the set.
-            for nid in range(len(self.nodes) - 1, -1, -1):
-                if nid in seen:
-                    node = self.nodes[nid]
-                    tag = node[0]
-                    if tag in _BINARY_TAGS:
-                        seen.add(node[1])
-                        seen.add(node[2])
-                    elif tag == "neg" or tag == "pow":
-                        seen.add(node[1])
-            cached = tuple(sorted(seen))
+            cached = _reachable(self.nodes, self.outputs)
             self._cache["reachable"] = cached
         return cached
 
@@ -287,7 +301,7 @@ class SystemBuilder:
 
 
 # ============================================================
-# Evaluation and differentiation
+# Evaluation (through the generated code in _compile)
 # ============================================================
 
 
@@ -301,174 +315,53 @@ def _check_dims(sys: GateSystem, z, x) -> tuple[np.ndarray, np.ndarray]:
     return z, x
 
 
+def _compiled(sys: GateSystem):
+    from ._compile import compiled_for
+
+    return compiled_for(sys)
+
+
 def evaluate(sys: GateSystem, z, x) -> np.ndarray:
     """Evaluates all outputs at parameters z and unknowns x.
-
-    Single forward pass over the DAG in arena order; deterministic for
-    fixed inputs.
 
     Raises:
         EvaluationSingular: a division denominator is (nearly) zero.
     """
     z, x = _check_dims(sys, z, x)
-    nodes = sys.nodes
-    vals: list = [None] * len(nodes)
-    for nid in sys.reachable():
-        node = nodes[nid]
-        tag = node[0]
-        if tag == "const":
-            vals[nid] = node[1]
-        elif tag == "unk":
-            vals[nid] = complex(x[node[1]])
-        elif tag == "par":
-            vals[nid] = complex(z[node[1]])
-        elif tag == "add":
-            vals[nid] = vals[node[1]] + vals[node[2]]
-        elif tag == "sub":
-            vals[nid] = vals[node[1]] - vals[node[2]]
-        elif tag == "mul":
-            vals[nid] = vals[node[1]] * vals[node[2]]
-        elif tag == "div":
-            num = vals[node[1]]
-            den = vals[node[2]]
-            if abs(den) < _DIV_EPS * (1.0 + abs(num)):
-                raise EvaluationSingular(f"denominator ~0 in node {nid}")
-            vals[nid] = num / den
-        elif tag == "neg":
-            vals[nid] = -vals[node[1]]
-        else:  # pow
-            vals[nid] = vals[node[1]] ** node[2]
-    return np.array([vals[o] for o in sys.outputs], dtype=complex)
-
-
-def _dual_sweep(sys: GateSystem, z: np.ndarray, x: np.ndarray, wrt: str) -> np.ndarray:
-    """Batched forward-mode sweep; returns num_outputs x num_seeds Jacobian.
-
-    Derivative rows are numpy vectors; None marks a structural zero so
-    untouched subtrees cost nothing.
-    """
-    n_seed = sys.num_unknowns if wrt == "unk" else sys.num_parameters
-    nodes = sys.nodes
-    vals: list = [None] * len(nodes)
-    ders: list = [None] * len(nodes)
-    for nid in sys.reachable():
-        node = nodes[nid]
-        tag = node[0]
-        if tag == "const":
-            vals[nid] = node[1]
-        elif tag == "unk":
-            vals[nid] = complex(x[node[1]])
-            if wrt == "unk":
-                seed = np.zeros(n_seed, dtype=complex)
-                seed[node[1]] = 1.0
-                ders[nid] = seed
-        elif tag == "par":
-            vals[nid] = complex(z[node[1]])
-            if wrt == "par":
-                seed = np.zeros(n_seed, dtype=complex)
-                seed[node[1]] = 1.0
-                ders[nid] = seed
-        elif tag == "add":
-            a, b = node[1], node[2]
-            vals[nid] = vals[a] + vals[b]
-            da, db = ders[a], ders[b]
-            if da is None:
-                ders[nid] = db
-            elif db is None:
-                ders[nid] = da
-            else:
-                ders[nid] = da + db
-        elif tag == "sub":
-            a, b = node[1], node[2]
-            vals[nid] = vals[a] - vals[b]
-            da, db = ders[a], ders[b]
-            if db is None:
-                ders[nid] = da
-            elif da is None:
-                ders[nid] = -db
-            else:
-                ders[nid] = da - db
-        elif tag == "mul":
-            a, b = node[1], node[2]
-            va, vb = vals[a], vals[b]
-            vals[nid] = va * vb
-            da, db = ders[a], ders[b]
-            if da is None and db is None:
-                ders[nid] = None
-            elif da is None:
-                ders[nid] = va * db
-            elif db is None:
-                ders[nid] = da * vb
-            else:
-                ders[nid] = da * vb + va * db
-        elif tag == "div":
-            a, b = node[1], node[2]
-            num, den = vals[a], vals[b]
-            if abs(den) < _DIV_EPS * (1.0 + abs(num)):
-                raise EvaluationSingular(f"denominator ~0 in node {nid}")
-            q = num / den
-            vals[nid] = q
-            da, db = ders[a], ders[b]
-            if da is None and db is None:
-                ders[nid] = None
-            elif db is None:
-                ders[nid] = da / den
-            elif da is None:
-                ders[nid] = (-q) * db / den
-            else:
-                ders[nid] = (da - q * db) / den
-        elif tag == "neg":
-            a = node[1]
-            vals[nid] = -vals[a]
-            da = ders[a]
-            ders[nid] = None if da is None else -da
-        else:  # pow
-            a, k = node[1], node[2]
-            va = vals[a]
-            vals[nid] = va**k
-            da = ders[a]
-            if da is None or k == 0:
-                ders[nid] = None
-            elif k == 1:
-                ders[nid] = da
-            else:
-                ders[nid] = (k * va ** (k - 1)) * da
-    jac = np.zeros((sys.num_outputs, n_seed), dtype=complex)
-    for row, out in enumerate(sys.outputs):
-        if ders[out] is not None:
-            jac[row] = ders[out]
-    return jac
+    return _compiled(sys).value(z, x)
 
 
 def jacobian_unknowns(sys: GateSystem, z, x) -> np.ndarray:
     """Partial derivatives of each output w.r.t. each unknown at (z, x)."""
     z, x = _check_dims(sys, z, x)
-    return _dual_sweep(sys, z, x, "unk")
+    return _compiled(sys).value_and_jac(z, x)[1]
 
 
 def jacobian_parameters(sys: GateSystem, z, x) -> np.ndarray:
     """Partial derivatives of each output w.r.t. each parameter at (z, x)."""
     z, x = _check_dims(sys, z, x)
-    return _dual_sweep(sys, z, x, "par")
+    comp = _compiled(sys)
+    units = np.eye(sys.num_parameters, dtype=complex)
+    return np.stack([comp.param_dir(z, x, e) for e in units], axis=1)
 
 
 def residual(sys: GateSystem, z, x) -> float:
     """Max absolute output value at (z, x)."""
-    out = evaluate(sys, z, x)
-    return float(np.max(np.abs(out))) if len(out) else 0.0
+    z, x = _check_dims(sys, z, x)
+    return _compiled(sys).residual(z, x)
 
 
 # ============================================================
-# Compression
+# Normalization, symbolic differentiation, compression
 # ============================================================
 
 
 class _Normalizer:
     """Arena builder that hash-conses nodes and applies local simplifications.
 
-    Used by compress() and by the symbolic differentiation in the compiled
-    fast path. Folding keeps the same complex arithmetic as evaluation, so
-    simplified systems agree with the originals to rounding.
+    Used by compress() and by _differentiate(). Folding keeps the same
+    complex arithmetic as evaluation, so simplified systems agree with the
+    originals to rounding.
     """
 
     def __init__(self):
@@ -573,6 +466,91 @@ class _Normalizer:
         if tag == "neg":
             return self.neg(mapping(node[1]))
         return self.pow(mapping(node[1]), node[2])
+
+
+class _Derivatives(NamedTuple):
+    """What _differentiate returns."""
+
+    nodes: list[tuple]  # one hash-consed arena of values and derivatives
+    values: list[int]  # arena id of each output's value
+    derivatives: list[list[int | None]]  # per output, per column; None is zero
+    poles: list[int]  # arena ids of the divisions of the system itself
+
+
+def _differentiate(sys: GateSystem, seeds: dict[tuple, list[tuple | None]]) -> _Derivatives:
+    """Symbolic forward-mode differentiation of the outputs of sys.
+
+    seeds maps a leaf node to its derivative, one leaf per column (None is a
+    structural zero); leaves missing from seeds have derivative zero. Seeding
+    each ("unk", j) with const 1 in column j gives df/dx; seeding each
+    ("par", i) with the direction leaf ("dir", i) in one column gives
+    (df/dz) @ v.
+
+    The derivative of a/b divides by b as well. Only the divisions listed in
+    poles are the system's own, so only they decide whether (z, x) is a pole.
+    """
+    n_cols = len(next(iter(seeds.values())))
+    zero: list[int | None] = [None] * n_cols
+    norm = _Normalizer()
+    mapping: dict[int, int] = {}
+    ders: dict[int, list[int | None]] = {}
+    for nid in sys.reachable():
+        node = sys.nodes[nid]
+        tag = node[0]
+        mapping[nid] = norm.rebuild(node, mapping.__getitem__)
+        if tag in _LEAF_TAGS:
+            seed = seeds.get(node)
+            ders[nid] = zero if seed is None else [None if d is None else norm.leaf(d) for d in seed]
+        elif tag == "add":
+            ders[nid] = [
+                b if a is None else a if b is None else norm.add(a, b)
+                for a, b in zip(ders[node[1]], ders[node[2]])
+            ]
+        elif tag == "sub":
+            ders[nid] = [
+                a if b is None else (norm.neg(b) if a is None else norm.sub(a, b))
+                for a, b in zip(ders[node[1]], ders[node[2]])
+            ]
+        elif tag == "mul":
+            ma, mb = mapping[node[1]], mapping[node[2]]
+            d = []
+            for da, db in zip(ders[node[1]], ders[node[2]]):
+                if da is None and db is None:
+                    d.append(None)
+                elif da is None:
+                    d.append(norm.mul(ma, db))
+                elif db is None:
+                    d.append(norm.mul(da, mb))
+                else:
+                    d.append(norm.add(norm.mul(da, mb), norm.mul(ma, db)))
+            ders[nid] = d
+        elif tag == "div":
+            mb, q = mapping[node[2]], mapping[nid]
+            d = []
+            for da, db in zip(ders[node[1]], ders[node[2]]):
+                if da is None and db is None:
+                    d.append(None)
+                elif db is None:
+                    d.append(norm.div(da, mb))
+                elif da is None:
+                    d.append(norm.div(norm.neg(norm.mul(q, db)), mb))
+                else:
+                    d.append(norm.div(norm.sub(da, norm.mul(q, db)), mb))
+            ders[nid] = d
+        elif tag == "neg":
+            ders[nid] = [None if da is None else norm.neg(da) for da in ders[node[1]]]
+        else:  # pow
+            a, k = node[1], node[2]
+            if k == 0:
+                ders[nid] = zero
+            elif k == 1:
+                ders[nid] = ders[a]
+            else:
+                factor = norm.mul(norm.const(float(k)), norm.pow(mapping[a], k - 1))
+                ders[nid] = [None if da is None else norm.mul(factor, da) for da in ders[a]]
+    poles = [mapping[nid] for nid in sys.reachable()
+             if sys.nodes[nid][0] == "div" and norm.nodes[mapping[nid]][0] == "div"]
+    return _Derivatives(norm.nodes, [mapping[o] for o in sys.outputs], [ders[o] for o in sys.outputs], poles)
 
 
 def compress(sys: GateSystem) -> GateSystem:

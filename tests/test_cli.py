@@ -376,3 +376,67 @@ def test_ransac_trials_bad_table_range(capsys):
                            "--p-inlier", "0.5", "--s", "0.95")
     assert code == 2
     assert "bad table range" in err
+
+
+# ------------------------------------------------------------
+# input checks shared by monodromy and track; written residuals
+# ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("flag", ["--stabilization", "--target-count"])
+def test_monodromy_invalid_run_option_exits_2(capsys, flag):
+    code, out, err = run_cli(capsys, "monodromy", "p3p", flag, "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "must be >= 1" in err
+
+
+def test_track_mis_shaped_start_solution_exits_2(capsys, tmp_path, p3p_track_files):
+    sf, tf, z0, starts, res = p3p_track_files
+    sf.write_text(json.dumps(encode_solutions(z0, [starts[0][:2]], [0.0])))
+    code, out, err = run_cli(capsys, "track", "p3p", str(sf), str(tf))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: start solutions do not fit the system")
+
+
+def test_track_mis_shaped_target_exits_2(capsys, tmp_path, p3p_track_files):
+    sf, tf, _, _, _ = p3p_track_files
+    tf.write_text(json.dumps(encode_solutions(np.ones(5), [], [])))
+    code, _, err = run_cli(capsys, "track", "p3p", str(sf), str(tf))
+    assert code == 2
+    assert err.startswith("error: target solutions do not fit the system")
+
+
+def test_monodromy_mis_shaped_start_exits_2(capsys, tmp_path):
+    src, _ = write_cubic(tmp_path)
+    start = tmp_path / "bad.json"
+    start.write_text(json.dumps(encode_solutions(np.array([0.0, -8.0]), [np.array([2.0, 1.0])], [0.0])))
+    code, _, err = run_cli(capsys, "monodromy", src, "--start", str(start))
+    assert code == 2
+    assert err.startswith("error: start solutions do not fit the system")
+
+
+def test_track_shares_the_file_loader(capsys, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("params z; unknowns x; eqs x^ - z;")
+    code, _, err = run_cli(capsys, "track", str(bad), "a.json", "b.json")
+    assert code == 2
+    assert "cannot parse" in err
+
+
+def test_monodromy_residuals_are_measured_on_the_original_system(capsys, tmp_path):
+    # Two equations in one unknown: monodromy squares the system up, but the
+    # written residuals refer to the equations as given.
+    src = tmp_path / "over.txt"
+    src.write_text("params a; unknowns x; eqs x^2 - a; x^3 - a*x;")
+    start = tmp_path / "start.json"
+    start.write_text(json.dumps(encode_solutions(np.array([4.0]), [np.array([2.0])], [0.0])))
+    sols_path = tmp_path / "sols.json"
+    code, out, _ = run_cli(capsys, "monodromy", str(src), "--start", str(start), "--seed", "1",
+                           "--out-solutions", str(sols_path))
+    assert code == 0
+    assert "solutions: 2" in out
+    original = cli.parse_system(src.read_text())
+    z, sols, res = decode_solutions(sols_path.read_text())
+    assert res == [residual(original, z, x) for x in sols]

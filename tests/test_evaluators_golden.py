@@ -1,0 +1,114 @@
+"""Golden bits of the generated evaluators.
+
+The digests were recorded while the value, the Jacobian and the parameter
+direction derivative each still had their own code generator (symbolic
+forward mode for the Jacobian, dual numbers for the direction derivative).
+They pin every output bit, so a change to the shared symbolic
+differentiation or to the emitted code that moves any rounding fails here.
+The systems are unsquared, so no BLAS call takes part.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from monogal._compile import compiled_for
+from monogal.problems import fivepoint_system, p3p_system
+from monogal.slp import evaluate, jacobian_parameters, jacobian_unknowns, parse_system, residual, square_up
+
+RATIONAL_SOURCE = """params a, b;
+unknowns x, y;
+eqs x^3 + a*x*y - 2*b + i; -(x - y)/(a + 3) + y^2/(x - b) - x/y;
+"""
+
+SYSTEMS = {
+    "p3p": p3p_system,
+    "fivepoint": fivepoint_system,
+    "rational": lambda: parse_system(RATIONAL_SOURCE),
+}
+
+# sha256 of the concatenated tobytes() over 200 points from default_rng(7).
+GOLDEN = {
+    "p3p": (
+        "c33b5263546b12e264921101d6e269bc065d96c4289b6fc0c9b92e6b4163cd57",
+        "a9553736f50937951b3fa614572a4e6d4c58f9a92f8a4dfe51080abd77216523",
+        "f15940dd1e9a4b5b88d3dd93b9777abdb6eef1414e7ab8b21f6b55141c82accf",
+    ),
+    "fivepoint": (
+        "0d533c876f86669c2dcae714735044149565ef1abd3bbf259b886a2dc7b7ecd6",
+        "b5507e6f9cb849edc3e819e742576f920cfbbefd85ad4c2da56c404fad0aa4a6",
+        "a8ec331751d2149ae9b6fade78d53e29d108b32dfc8ada8703190a28b27131bd",
+    ),
+    "rational": (
+        "4bd8fc542e6cc137598a171f59f9577210423c1d093e3320521c0bab8ada6b17",
+        "d071ecd4f861601b12ed05b7373ee3eeba48135f89b51819c69865e7d5e0c135",
+        "e8684c4fe8c608456f130db90480508745e5e0604901a746f95080c701f3abd9",
+    ),
+}
+
+
+def _points(sysm, n=200, seed=7):
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        yield tuple(rng.standard_normal(m) + 1j * rng.standard_normal(m)
+                    for m in (sysm.num_parameters, sysm.num_unknowns, sysm.num_parameters))
+
+
+def _digests(sysm):
+    comp = compiled_for(sysm)
+    hv, hj, hp = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    for z, x, v in _points(sysm):
+        hv.update(comp.value(z, x).tobytes())
+        f, jac = comp.value_and_jac(z, x)
+        hj.update(f.tobytes())
+        hj.update(jac.tobytes())
+        hp.update(comp.param_dir(z, x, v).tobytes())
+    return hv.hexdigest(), hj.hexdigest(), hp.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_generated_evaluators_keep_their_bits(name):
+    sysm = SYSTEMS[name]()
+    assert sysm.squareup_parent is None
+    assert _digests(sysm) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_public_functions_call_the_generated_evaluators(name):
+    sysm = SYSTEMS[name]()
+    comp = compiled_for(sysm)
+    for z, x, v in list(_points(sysm, n=5)):
+        f, jac = comp.value_and_jac(z, x)
+        assert evaluate(sysm, z, x).tobytes() == comp.value(z, x).tobytes()
+        assert jacobian_unknowns(sysm, z, x).tobytes() == jac.tobytes()
+        jp = jacobian_parameters(sysm, z, x)
+        for i in range(sysm.num_parameters):
+            e = np.zeros(sysm.num_parameters, dtype=complex)
+            e[i] = 1.0
+            assert jp[:, i].tobytes() == comp.param_dir(z, x, e).tobytes()
+        assert residual(sysm, z, x) == comp.residual(z, x)
+
+
+def test_squared_up_system_is_evaluated_through_its_parent():
+    sysm = fivepoint_system()
+    rng = np.random.default_rng(3)
+    z, x, _ = next(_points(sysm))
+    sq = square_up(sysm, z, x, rng)
+    assert sq.squareup_parent is sysm
+    coeffs = sq.squareup_coeffs
+    for z, x, v in _points(sysm, n=5, seed=11):
+        assert evaluate(sq, z, x).tobytes() == (coeffs @ evaluate(sysm, z, x)).tobytes()
+        assert jacobian_unknowns(sq, z, x).tobytes() == (coeffs @ jacobian_unknowns(sysm, z, x)).tobytes()
+        assert compiled_for(sq).param_dir(z, x, v).tobytes() == (
+            coeffs @ compiled_for(sysm).param_dir(z, x, v)).tobytes()
+
+
+def test_non_finite_constants_compile():
+    # 1e400 parses to inf; the emitted repr of such constants names inf/infj.
+    sysm = parse_system("params a; unknowns x; eqs x*a + 1e400; x^2 - a*1e400*i;")
+    out = evaluate(sysm, [2.0], [3.0])
+    assert out[0] == complex(float("inf"), 0.0)
+    assert np.isnan(out[1].real) and np.isnan(out[1].imag)

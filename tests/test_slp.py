@@ -352,3 +352,18 @@ def test_gate_system_validation():
         GateSystem(("z",), ("x",), [1], [("unk", 0), ("add", 0, 1)])  # child after parent
     with pytest.raises(ValueError):
         GateSystem(("z",), ("x",), [1], [("unk", 0), ("pow", 0, -2)])  # negative exponent
+
+
+def test_division_pole_is_decided_by_the_value_alone():
+    # d(c*x/z)/dx = c/z divides by z too; its large numerator must not turn a
+    # regular point into a pole, and a real pole must still raise everywhere.
+    from monogal._compile import compiled_for
+
+    sysm = parse_system("params z; unknowns x; eqs 1e20*x/z;")
+    z, x = np.array([1.0 + 0j]), np.array([1e-15 + 0j])
+    f, jac = compiled_for(sysm).value_and_jac(z, x)
+    assert jac[0, 0] == pytest.approx(1e20)
+    assert jacobian_parameters(sysm, z, x)[0, 0] == pytest.approx(-1e5)
+    for fn in (evaluate, jacobian_unknowns, jacobian_parameters):
+        with pytest.raises(EvaluationSingular):
+            fn(sysm, [0.0], [1.0])
