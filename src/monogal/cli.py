@@ -371,7 +371,9 @@ def _parser() -> argparse.ArgumentParser:
     m.add_argument("system", help="problem name or system source file")
     m.add_argument("--start", help="solutions JSON seeding a file-based system")
     m.add_argument("--nodes", type=int, default=5, help="graph nodes (default 5)")
-    m.add_argument("--stabilization", type=int, default=20, help="stop after this many loops without progress (default 20)")
+    m.add_argument("--stabilization", type=int, default=4,
+                   help="stop when nothing is pending and this many fresh random edges "
+                        "found no new solution (default 4)")
     m.add_argument("--saturate", action="store_true", help="stop once every solution crossed every edge")
     m.add_argument("--target-count", type=int, default=None, help="stop at this many solutions")
     m.add_argument("--equivalencer", default=None, help="registered equivalencer name")

@@ -601,23 +601,30 @@ def galois_width(group: PermGroup) -> int:
 # Perm-script parsing
 # ============================================================
 
-_PERMLIST_RE = re.compile(r"^\s*\w+\s*:=\s*PermList\(\[([^\]]*)\]\)\s*;\s*$")
-_GROUP_RE = re.compile(r"^\s*\w+\s*:=\s*Group\(.*\)\s*;\s*$")
+_PERMLIST_RE = re.compile(r"^\s*(\w+)\s*:=\s*PermList\(\[([^\]]*)\]\)\s*;\s*$")
+_GROUP_RE = re.compile(r"^\s*\w+\s*:=\s*Group\((.*)\)\s*;\s*$")
 
 
 def parse_perm_script(text: str) -> list[Permutation]:
     """Parses PermList lines (1-based images) into 0-based Permutations.
 
+    The generators are the permutations that the Group line names, in its
+    order, each defined by a PermList line above it. Without a Group line
+    they are every PermList in file order.
+
     Raises:
-        ValueError: unrecognized line or a non-bijective image list.
+        ValueError: unrecognized line, a non-bijective image list, a second
+            Group line, or a Group line naming an undefined permutation.
     """
     perms = []
+    named: dict[str, Permutation] = {}
+    generators: list[Permutation] | None = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         m = _PERMLIST_RE.match(line)
         if m:
-            body = m.group(1).strip()
+            body = m.group(2).strip()
             if not body:
                 raise ValueError(f"line {lineno}: empty image list")
             try:
@@ -626,9 +633,19 @@ def parse_perm_script(text: str) -> list[Permutation]:
                 raise ValueError(f"line {lineno}: bad image list: {exc}") from None
             if sorted(images) != list(range(1, len(images) + 1)):
                 raise ValueError(f"line {lineno}: image list is not a bijection on 1..{len(images)}")
-            perms.append(Permutation([v - 1 for v in images]))
-        elif _GROUP_RE.match(line):
+            perm = Permutation([v - 1 for v in images])
+            perms.append(perm)
+            named[m.group(1)] = perm
             continue
-        else:
+        m = _GROUP_RE.match(line)
+        if m is None:
             raise ValueError(f"line {lineno}: unrecognized perm-script line")
-    return perms
+        if generators is not None:
+            raise ValueError(f"line {lineno}: second Group line")
+        names = [tok.strip() for tok in m.group(1).split(",")] if m.group(1).strip() else []
+        undefined = [name for name in names if name not in named]
+        if undefined:
+            raise ValueError(f"line {lineno}: Group names undefined permutation(s) "
+                             + ", ".join(map(repr, undefined)))
+        generators = [named[name] for name in names]
+    return perms if generators is None else generators

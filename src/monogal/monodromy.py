@@ -119,10 +119,14 @@ class BasePoint:
 class HomotopyEdge:
     """Segment homotopy between two nodes with correspondence bookkeeping.
 
-    forward_map sends from-node ids to to-node ids, backward_map the reverse;
-    each is filled only by actual tracking in its own direction, so the two
-    are mutually inverse wherever both are defined. The attempted sets record
-    every id ever sent (success or failure) so failures are not retried.
+    forward_map sends from-node ids to to-node ids, backward_map the reverse.
+    The backward segment is the forward curve run in reverse, so an id that
+    the opposite map already reaches is derived from that map's inverse
+    instead of tracked. Derivation waits for an audit: the first derivable
+    id, in either direction, is tracked and must land where the inverse
+    says, which sets audited. Unless a path jumped, the two maps are mutually
+    inverse wherever both are defined. The attempted sets record every id
+    ever sent (tracked, derived or failed) so failures are not retried.
     """
 
     edge_id: int
@@ -133,6 +137,7 @@ class HomotopyEdge:
     backward_map: dict[int, int] = field(default_factory=dict)
     attempted_forward: set[int] = field(default_factory=set)
     attempted_backward: set[int] = field(default_factory=set)
+    audited: bool = False
 
 
 @dataclass
@@ -151,9 +156,14 @@ class StopReason(enum.Enum):
 
 @dataclass(frozen=True)
 class RunOptions:
-    """Stopping configuration for the monodromy loop."""
+    """Stopping configuration for the monodromy loop.
 
-    stabilization_limit: int = 20
+    stabilization_limit counts fresh random edges, not loops: a run stops by
+    stabilization once nothing is pending and this many fresh edges were
+    added and fully explored since the last new solution.
+    """
+
+    stabilization_limit: int = 4
     saturate: bool = False
     target_count: int | None = None
 
@@ -263,26 +273,54 @@ def _add_random_edge(graph: HomotopyGraph) -> None:
     graph.edges.append(HomotopyEdge(len(graph.edges), lo, hi, _sample_gamma_pair(graph.rng)))
 
 
+def _inverse(mapping: dict[int, int]) -> dict[int, int]:
+    # Inverse of an edge map, leaving out targets that two ids reach.
+    inverse: dict[int, int] = {}
+    clashes = set()
+    for a, b in mapping.items():
+        if b in inverse:
+            clashes.add(b)
+        inverse[b] = a
+    for b in clashes:
+        del inverse[b]
+    return inverse
+
+
 def _track_batch(graph: HomotopyGraph, pending: list[int], edge: HomotopyEdge,
                  forward: bool, tracker_opts: TrackerOptions) -> tuple[int, int, int]:
     """Sends pending ids across one edge direction.
 
-    Returns (paths, failures, newly registered)."""
+    An id that the opposite direction maps back to takes its correspondence
+    from that map's inverse once the edge is audited. Until then the first
+    such id is tracked as the audit: landing on the inverse's id audits the
+    edge, a failed path leaves the next candidate as the audit, and landing
+    on another id means a path jumped, so that id counts as a failure, gets
+    no correspondence, and the rest of the batch is tracked.
+
+    Returns (paths tracked, failures, newly registered)."""
     if forward:
         src = graph.nodes[edge.from_node]
         dst = graph.nodes[edge.to_node]
         g0, g1 = edge.gamma_pair
         corr, attempted = edge.forward_map, edge.attempted_forward
+        inverse = _inverse(edge.backward_map)
     else:
         src = graph.nodes[edge.to_node]
         dst = graph.nodes[edge.from_node]
         g1, g0 = edge.gamma_pair
         corr, attempted = edge.backward_map, edge.attempted_backward
+        inverse = _inverse(edge.forward_map)
     seg = PathSegment(src.z, dst.z, g0, g1)
+    paths = 0
     failures = 0
     new_count = 0
     for sid in sorted(pending):
         attempted.add(sid)
+        known = inverse.get(sid)
+        if known is not None and edge.audited:
+            corr[sid] = known
+            continue
+        paths += 1
         result = track(graph.system, seg, src.registry[sid], tracker_opts)
         if not result.success:
             failures += 1
@@ -293,10 +331,18 @@ def _track_batch(graph: HomotopyGraph, pending: list[int], edge: HomotopyEdge,
             failures += 1
             continue
         dst_id, is_new = dst.registry.register(endpoint)
-        corr[sid] = dst_id
         if is_new:
             new_count += 1
-    return len(pending), failures, new_count
+        if known is not None:
+            if dst_id != known:
+                # This path or the one behind the inverse jumped; no
+                # derivation on this edge until a later audit agrees.
+                failures += 1
+                inverse = {}
+                continue
+            edge.audited = True
+        corr[sid] = dst_id
+    return paths, failures, new_count
 
 
 def _compose_cycle(graph: HomotopyGraph, steps: list[tuple[HomotopyEdge, bool]]) -> Permutation | None:
@@ -350,12 +396,19 @@ def run(graph: HomotopyGraph, opts: RunOptions | None = None,
     """Tracks solutions around the graph until a stopping criterion fires.
 
     Each loop sends every pending solution across the edge direction with the
-    most pending work (ties: lowest edge id, forward first). When nothing is
-    pending and saturation stopping is off, a fresh random-gamma edge keeps
-    the exploration going until stabilization.
+    most pending work (ties: lowest edge id, forward first). A solution whose
+    correspondence the opposite direction already fixes is derived instead
+    of tracked once the edge passed its audit (see HomotopyEdge). It still
+    counts as pending, so the loops are those that tracking everything would
+    run, and paths_tracked counts only tracked paths, audits included. When
+    nothing is pending and saturation stopping is off, a fresh random-gamma
+    edge keeps the exploration going; the run stops by stabilization when
+    nothing is pending and opts.stabilization_limit fresh edges have been
+    added since the last new solution.
 
     Raises:
-        TrackFailureRate: more than half the paths of one multi-path loop failed.
+        TrackFailureRate: more than half the ids that one multi-id loop sent
+            (tracked or derived) failed.
     """
     if opts is None:
         opts = RunOptions()
@@ -365,7 +418,7 @@ def run(graph: HomotopyGraph, opts: RunOptions | None = None,
     loops = 0
     paths = 0
     failures = 0
-    no_progress = 0
+    fresh_edges = 0
     stopped_by = None
     while True:
         if opts.target_count is not None and len(base) >= opts.target_count:
@@ -377,21 +430,24 @@ def run(graph: HomotopyGraph, opts: RunOptions | None = None,
             if opts.saturate:
                 stopped_by = StopReason.Saturation
                 break
+            if fresh_edges >= opts.stabilization_limit:
+                stopped_by = StopReason.Stabilization
+                break
             _add_random_edge(graph)
+            fresh_edges += 1
             continue
         n_paths, n_fail, n_new = _track_batch(graph, pending, edge, forward, tracker_opts)
         loops += 1
         paths += n_paths
         failures += n_fail
-        # One path failing alone is an unlucky gamma draw, not evidence of bad
-        # tolerances; stabilization absorbs it. Majority failure on a real
-        # batch is systemic and aborts.
-        if n_paths > 1 and 2 * n_fail > n_paths:
-            raise TrackFailureRate(f"{n_fail} of {n_paths} paths failed on edge {edge.edge_id}")
-        no_progress = 0 if n_new > 0 else no_progress + 1
-        if no_progress >= opts.stabilization_limit:
-            stopped_by = StopReason.Stabilization
-            break
+        # One id failing alone is an unlucky gamma draw, not evidence of bad
+        # tolerances; fresh edges absorb it. Majority failure on a real batch
+        # is systemic and aborts. The batch is every id the loop resolves,
+        # derived ones included.
+        if len(pending) > 1 and 2 * n_fail > len(pending):
+            raise TrackFailureRate(f"{n_fail} of {len(pending)} paths failed on edge {edge.edge_id}")
+        if n_new > 0:
+            fresh_edges = 0
     perms = _extract_permutations(graph)
     return MonodromyResult(
         solutions=base.vectors(),

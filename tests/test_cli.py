@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +24,7 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 CUBIC_SOURCE = "params z1, z2; unknowns x; eqs x^3 + z1*x + z2;"
 
 
@@ -91,12 +97,14 @@ def test_monodromy_p3p_output_files(capsys, tmp_path):
 def test_monodromy_p3p_golden_stdout(capsys):
     # Captured before the tracker's linear solve moved from scipy's wrappers
     # to direct LAPACK calls; any change to a tracked bit can move these counts.
+    # loops and paths were re-captured when reverse correspondences began to
+    # be derived and stabilization began to count fresh edges.
     code, out, _ = run_cli(capsys, "monodromy", "p3p", "--seed", "1")
     assert code == 0
     assert out == (
         "solutions: 8\n"
-        "loops: 60\n"
-        "paths: 232\n"
+        "loops: 59\n"
+        "paths: 126\n"
         "failures: 0\n"
         "stopped: stabilization\n"
         "order: 192\n"
@@ -113,6 +121,38 @@ def test_monodromy_p3p_nearly_coplanar_seeds_now_solve(capsys, seed):
     code, out, _ = run_cli(capsys, "monodromy", "p3p", "--seed", seed)
     assert code == 0
     assert "solutions: 8" in out
+
+
+@pytest.mark.parametrize("seed", ["632356043", "1676864797"])
+def test_monodromy_p3p_no_early_stop_at_six_solutions(capsys, seed):
+    # Counting stabilization in loops let short mop-up loops use up the
+    # budget: these seeds stopped after two fresh edges with 6 solutions and
+    # order 48.
+    code, out, _ = run_cli(capsys, "monodromy", "p3p", "--seed", seed)
+    assert code == 0
+    assert "solutions: 8" in out
+    assert "order: 192" in out
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["p3p", "--seed", "1"], "52e40c9db3d21f969b00195f7e11f58bd8e16d5d3d43ce8316bdbc4b5ca47e00"),
+    (["p3p", "--seed", "2"], "ce9132aabc0ec9037244541b94cc025ef0f8d6d901c5307b532c8a97431279dd"),
+    (["p3p", "--seed", "3"], "11611c8ba3d99fe0d6d9f0f27d8f83c3b5365e4c6d608b0584feb88d7f318738"),
+    (["fivepoint", "--seed", "1", "--equivalencer", "translation"],
+     "98f03518da0eab73fdb3018b060a2dd1e2ffd5876bf4b9899d45e9bffcf11179"),
+])
+def test_monodromy_solutions_file_digest(tmp_path, argv, digest):
+    # Captured while every reverse correspondence was still tracked: deriving
+    # them must not move a bit of the solutions found. The run gets a fresh
+    # interpreter with one BLAS thread, because OpenBLAS's LU returns other
+    # bits under other thread counts.
+    sols_path = tmp_path / "sols.json"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    subprocess.run([sys.executable, "-m", "monogal.cli", "monodromy", *argv,
+                    "--out-solutions", str(sols_path)], env=env, check=True, capture_output=True)
+    assert hashlib.sha256(sols_path.read_bytes()).hexdigest() == digest
 
 
 def test_monodromy_stdout_is_deterministic(capsys):
@@ -309,6 +349,32 @@ def test_group_empty_script(capsys, tmp_path):
     code, _, err = run_cli(capsys, "group", str(script))
     assert code == 2
     assert "no permutations" in err
+
+
+def test_group_generators_are_the_group_line_names(capsys, tmp_path):
+    # p0 alone generates a group of order 2; S3_SCRIPT's two PermLists, order 6.
+    script = tmp_path / "named.txt"
+    script.write_text(S3_SCRIPT.replace("Group(p0,p1)", "Group(p0)"))
+    code, out, _ = run_cli(capsys, "group", str(script), "--order")
+    assert code == 0
+    assert out == "order: 2\n"
+
+
+def test_group_without_group_line_uses_every_permlist(capsys, tmp_path):
+    script = tmp_path / "nogroup.txt"
+    script.write_text(S3_SCRIPT.replace("G:=Group(p0,p1);\n", ""))
+    code, out, _ = run_cli(capsys, "group", str(script), "--order")
+    assert code == 0
+    assert out == "order: 6\n"
+
+
+def test_group_line_naming_undefined_permutation_exits_2(capsys, tmp_path):
+    script = tmp_path / "undefined.txt"
+    script.write_text(S3_SCRIPT.replace("Group(p0,p1)", "Group(p0, p9)"))
+    code, out, err = run_cli(capsys, "group", str(script))
+    assert code == 2
+    assert out == ""
+    assert "cannot parse" in err and "'p9'" in err
 
 
 def test_group_unreadable_script(capsys, tmp_path):

@@ -431,3 +431,31 @@ def test_parse_perm_script_round_trips_fivepoint_listing():
     perms = parse_perm_script("\n".join(lines))
     assert len(perms) == 19
     assert order(PermGroup(20, perms)) == 1857945600
+
+
+def test_parse_perm_script_generators_are_the_group_line_names():
+    text = (
+        "a:= PermList([2, 1, 3]);\n"
+        "b:= PermList([2, 3, 1]);\n"
+        "unused:= PermList([1, 3, 2]);\n"
+        "G:=Group(b, a);"
+    )
+    assert [p.images for p in parse_perm_script(text)] == [(1, 2, 0), (1, 0, 2)]
+
+
+def test_parse_perm_script_without_group_line_keeps_every_permlist():
+    perms = parse_perm_script("a:= PermList([2, 1, 3]);\nb:= PermList([1, 3, 2]);")
+    assert [p.images for p in perms] == [(1, 0, 2), (0, 2, 1)]
+
+
+def test_parse_perm_script_empty_group_line_has_no_generators():
+    assert parse_perm_script("p0:= PermList([2, 1]);\nG:=Group();") == []
+
+
+def test_parse_perm_script_group_line_errors():
+    with pytest.raises(ValueError, match="line 2: .*undefined.*'p1'"):
+        parse_perm_script("p0:= PermList([2, 1]);\nG:=Group(p0, p1);")
+    with pytest.raises(ValueError, match="line 1: .*undefined"):
+        parse_perm_script("G:=Group(p0);\np0:= PermList([2, 1]);")  # named before defined
+    with pytest.raises(ValueError, match="line 3: second Group line"):
+        parse_perm_script("p0:= PermList([2, 1]);\nG:=Group(p0);\nH:=Group(p0);")

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from monogal import monodromy
 from monogal.groups import PermGroup, Permutation, order
 from monogal.monodromy import (
     MixedDegree,
@@ -20,6 +21,7 @@ from monogal.monodromy import (
     run,
 )
 from monogal.slp import RankDeficient, SystemBuilder
+from monogal.tracker import TrackerOptions, TrackResult, TrackStatus
 
 
 def cubic_system():
@@ -240,6 +242,131 @@ def test_run_seeds_differ():
     # Same solution set, different exploration path.
     assert len(a.solutions) == len(b.solutions) == 3
     assert (a.loops_run, a.paths_tracked) != (b.loops_run, b.paths_tracked)
+
+
+@pytest.mark.parametrize("limit", [1, 2, 4])
+def test_run_stops_after_limit_fresh_edges_without_new_solution(monkeypatch, limit):
+    events = []
+    track_batch = monodromy._track_batch
+    add_edge = monodromy._add_random_edge
+
+    def logged_batch(*args):
+        out = track_batch(*args)
+        events.append(("batch", out[2]))
+        return out
+
+    def logged_edge(graph):
+        add_edge(graph)
+        events.append(("edge", 0))
+
+    monkeypatch.setattr(monodromy, "_track_batch", logged_batch)
+    monkeypatch.setattr(monodromy, "_add_random_edge", logged_edge)
+    graph, result = cubic_run(stabilization_limit=limit)
+    assert result.stopped_by is StopReason.Stabilization
+    assert len(result.solutions) == 3
+    # Nothing is pending at the stop ...
+    assert all(not pending for pending, _, _ in monodromy._direction_units(graph))
+    # ... and exactly `limit` fresh edges came after the last new solution.
+    last_new = max(k for k, (kind, n_new) in enumerate(events) if kind == "batch" and n_new > 0)
+    assert [kind for kind, _ in events[last_new:]].count("edge") == limit
+    assert events[-1][0] == "batch"
+    assert len(graph.edges) == 6 + sum(kind == "edge" for kind, _ in events)
+
+
+def test_run_tracks_fewer_paths_than_ids_it_resolves(monkeypatch):
+    calls = []
+    real_track = monodromy.track
+
+    def counted(*args):
+        calls.append(1)
+        return real_track(*args)
+
+    monkeypatch.setattr(monodromy, "track", counted)
+    graph, result = cubic_run()
+    resolved = sum(len(e.attempted_forward) + len(e.attempted_backward) for e in graph.edges)
+    assert len(calls) == result.paths_tracked
+    assert result.paths_tracked < resolved
+    assert all(e.audited for e in graph.edges)
+
+
+def fake_track(endpoints):
+    # Stands in for monodromy.track: successive calls end at the given
+    # vectors; None means a failed path.
+    queue = list(endpoints)
+
+    def track(sys, seg, x, opts):
+        x_end = queue.pop(0)
+        if x_end is None:
+            return TrackResult(TrackStatus.MinStepReached, np.asarray(x), 0, 0.0)
+        return TrackResult(TrackStatus.Success, np.asarray(x_end, dtype=complex), 1, 1.0)
+    return track
+
+
+def two_node_cubic():
+    z0, x0 = CUBIC_SEED
+    return build_graph(cubic_system(), z0, x0, 2, np.random.default_rng(3))
+
+
+def test_audit_landing_on_another_id_counts_a_failure(monkeypatch):
+    graph = two_node_cubic()
+    edge = graph.edges[0]
+    node0, node1 = graph.nodes
+    other_root = 2.0 * np.exp(2j * np.pi / 3)
+    node0.registry.register(np.array([other_root]))  # id 1 at node 0
+    node1.registry.register(np.array([1.0 + 1j]))
+    node1.registry.register(np.array([-1.0 + 1j]))
+    edge.forward_map.update({0: 0, 1: 1})
+    edge.attempted_forward.update({0, 1})
+    # Node 1's id 0 should return to node 0's id 0 but its audit lands on id
+    # 1; id 1 is then tracked too (no derivation) and lands where it should.
+    monkeypatch.setattr(monodromy, "track", fake_track([[other_root], [other_root]]))
+    paths, failures, new = monodromy._track_batch(graph, [0, 1], edge, False, TrackerOptions())
+    assert (paths, failures, new) == (2, 1, 0)
+    assert edge.backward_map == {1: 1}
+    assert edge.attempted_backward == {0, 1}
+    assert not edge.audited
+
+
+def test_inverse_leaves_out_targets_two_ids_reach():
+    assert monodromy._inverse({0: 5, 1: 5, 2: 6}) == {6: 2}
+
+
+def test_failed_audit_passes_the_audit_to_the_next_candidate(monkeypatch):
+    graph = two_node_cubic()
+    edge = graph.edges[0]
+    node0, node1 = graph.nodes
+    roots = [2.0 * np.exp(2j * np.pi * k / 3) for k in range(3)]
+    for r in roots[1:]:
+        node0.registry.register(np.array([r]))
+    for v in (1.0 + 1j, -1.0 + 1j, 3.0):
+        node1.registry.register(np.array([v]))
+    edge.forward_map.update({1: 1, 2: 2})
+    # Node 1's id 0 is not derivable and is tracked; id 1 is the first audit
+    # and its path fails; id 2 becomes the audit and agrees.
+    monkeypatch.setattr(monodromy, "track", fake_track([[roots[0]], None, [roots[2]]]))
+    paths, failures, new = monodromy._track_batch(graph, [0, 1, 2], edge, False, TrackerOptions())
+    assert (paths, failures, new) == (3, 1, 0)
+    assert edge.audited
+    assert edge.backward_map == {0: 0, 2: 2}
+
+
+def test_derived_ids_count_toward_the_failure_rate(monkeypatch):
+    # Four ids leave node 1: two are derived from the audited forward map and
+    # the two tracked ones fail. Two failures in four is no majority.
+    graph = two_node_cubic()
+    edge = graph.edges[0]
+    node0, node1 = graph.nodes
+    node0.registry.register(np.array([2.0 * np.exp(2j * np.pi / 3)]))
+    for v in (1.0 + 1j, -1.0 + 1j, 3.0, -3.0):
+        node1.registry.register(np.array([v]))
+    edge.forward_map.update({0: 0, 1: 1})
+    edge.attempted_forward.update({0, 1})
+    edge.audited = True
+    monkeypatch.setattr(monodromy, "track", fake_track([None, None]))
+    result = run(graph, RunOptions(saturate=True))
+    assert result.stopped_by is StopReason.Saturation
+    assert (result.loops_run, result.paths_tracked, result.failures) == (1, 2, 2)
+    assert edge.backward_map == {0: 0, 1: 1}
 
 
 # ------------------------------------------------------------
