@@ -1,10 +1,11 @@
 """Permutation-group analysis of monodromy output.
 
 Permutations act on solution indices, 0-based internally (1-based only in
-the perm-script text format). Groups carry a lazily built deterministic
-stabilizer chain (base points, transversals, strong generators) that backs
-exact order computation, membership, block-action kernels, and the Galois
-width recursion.
+the perm-script text format). Each group carries one lazily, incrementally
+built deterministic stabilizer chain (base points, transversals, strong
+generators) that backs exact order computation, membership and the reduced
+generator list every analysis reads; block-action kernels come from a chain
+seeded with the cell positions.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ __all__ = [
     "orbits",
     "minimal_blocks",
     "minimal_nontrivial_blocks",
-    "order",
     "block_action",
     "is_natural_sym_or_alt",
     "is_solvable",
@@ -145,15 +145,22 @@ def _smallest_moved(a: tuple) -> int:
 
 
 class _Chain:
-    """Base, per-level strong generators, per-level transversals."""
+    """Base, per-level strong generators, per-level transversals.
+
+    Built incrementally: `add` sifts one element in and re-closes the chain,
+    so every level's strong generators generate the stabilizer of the base
+    points before it.
+    """
 
     __slots__ = ("degree", "base", "levels", "transversals")
 
-    def __init__(self, degree: int, base: list[int], levels: list[list[tuple]], transversals: list[dict[int, tuple]]):
+    def __init__(self, degree: int, base: Sequence[int] = ()):
+        ident = tuple(range(degree))
         self.degree = degree
-        self.base = base
-        self.levels = levels  # levels[i]: strong generators fixing base[:i]
-        self.transversals = transversals
+        self.base = list(base)
+        # levels[i]: strong generators fixing base[:i]
+        self.levels: list[list[tuple]] = [[] for _ in self.base]
+        self.transversals: list[dict[int, tuple]] = [{b: ident} for b in self.base]
 
     def order(self) -> int:
         n = 1
@@ -172,8 +179,52 @@ class _Chain:
         return g, len(self.base)
 
     def contains(self, g: tuple) -> bool:
-        residue, _ = self.strip(g)
-        return all(v == idx for idx, v in enumerate(residue))
+        return self.strip(g)[0] == tuple(range(self.degree))
+
+    def add(self, g: tuple) -> bool:
+        """Extends the group by g; False when g was already a member."""
+        residue, j = self.strip(g)
+        if residue == tuple(range(self.degree)):
+            return False
+        self._extend(residue, 0, j)
+        self._close(j)
+        return True
+
+    def _extend(self, residue: tuple, lo: int, hi: int) -> None:
+        # residue fixes base[:hi]; it joins levels lo..hi, opening a new
+        # level when it fixes every base point.
+        if hi == len(self.base):
+            self.base.append(_smallest_moved(residue))
+            self.levels.append([])
+            self.transversals.append({})
+        for lvl in range(lo, hi + 1):
+            self.levels[lvl].append(residue)
+            self.transversals[lvl] = _orbit_transversal(self.levels[lvl], self.base[lvl], self.degree)
+
+    def _close(self, i: int) -> None:
+        # Levels above i are complete. A Schreier generator of level i that
+        # does not sift through them extends the chain, and the check
+        # resumes at the level its residue fell out of.
+        while i >= 0:
+            found = self._schreier_residue(i)
+            if found is None:
+                i -= 1
+            else:
+                residue, j = found
+                self._extend(residue, i + 1, j)
+                i = j
+
+    def _schreier_residue(self, i: int) -> tuple[tuple, int] | None:
+        ident = tuple(range(self.degree))
+        for p in sorted(self.transversals[i]):
+            up = self.transversals[i][p]
+            for g in self.levels[i]:
+                sch = _mul(_mul(up, g), _inv(self.transversals[i][g[p]]))
+                if sch != ident:
+                    residue, j = self.strip(sch, i + 1)
+                    if residue != ident:
+                        return residue, j
+        return None
 
 
 def _orbit_transversal(gens: list[tuple], beta: int, degree: int) -> dict[int, tuple]:
@@ -193,52 +244,9 @@ def _orbit_transversal(gens: list[tuple], beta: int, degree: int) -> dict[int, t
 
 def _schreier_sims(degree: int, gens: Iterable[tuple], seed_base: Sequence[int] = ()) -> _Chain:
     """Deterministic Schreier-Sims; optional pre-seeded base points."""
-    ident = tuple(range(degree))
-    sgs: list[tuple] = []
-    seen = set()
+    chain = _Chain(degree, seed_base)
     for g in gens:
-        if g != ident and g not in seen:
-            sgs.append(g)
-            seen.add(g)
-    base: list[int] = list(seed_base)
-    if not sgs:
-        levels = [[] for _ in base]
-        transversals = [{b: ident} for b in base]
-        return _Chain(degree, base, levels, transversals)
-    for g in sgs:
-        if all(g[b] == b for b in base):
-            base.append(_smallest_moved(g))
-    levels = [[g for g in sgs if all(g[b] == b for b in base[:i])] for i in range(len(base))]
-    transversals = [_orbit_transversal(levels[i], base[i], degree) for i in range(len(base))]
-    chain = _Chain(degree, base, levels, transversals)
-
-    i = len(base) - 1
-    while i >= 0:
-        clean = True
-        for p in sorted(chain.transversals[i]):
-            up = chain.transversals[i][p]
-            for g in chain.levels[i]:
-                rep = chain.transversals[i][g[p]]
-                sch = _mul(_mul(up, g), _inv(rep))
-                if sch == ident:
-                    continue
-                residue, j = chain.strip(sch, i + 1)
-                if residue == ident:
-                    continue
-                clean = False
-                if j == len(chain.base):
-                    chain.base.append(_smallest_moved(residue))
-                    chain.levels.append([])
-                    chain.transversals.append({})
-                for lvl in range(i + 1, j + 1):
-                    chain.levels[lvl].append(residue)
-                    chain.transversals[lvl] = _orbit_transversal(chain.levels[lvl], chain.base[lvl], degree)
-                i = j
-                break
-            if not clean:
-                break
-        if clean:
-            i -= 1
+        chain.add(g)
     return chain
 
 
@@ -250,10 +258,10 @@ def _schreier_sims(degree: int, gens: Iterable[tuple], seed_base: Sequence[int] 
 class PermGroup:
     """Group generated by permutations of a common degree.
 
-    The stabilizer chain is built lazily on first use and reused afterwards;
-    construction first discards generators already contained in the group of
-    the previous ones, which keeps chains small for the long generator lists
-    monodromy produces.
+    One stabilizer chain is built lazily, on the first call that needs it,
+    by adding the generators in order; a generator the chain already
+    contains is left out of reduced_generators(). Every analysis function
+    reads the group through that reduced list, never the raw generators.
     """
 
     def __init__(self, degree: int, generators: Iterable[Permutation] = ()):
@@ -264,27 +272,18 @@ class PermGroup:
                 raise ValueError(f"generator degree {g.degree} != group degree {self.degree}")
         self.generators = gens
         self._chain: _Chain | None = None
-        self._reduced: list[tuple] | None = None
+        self._reduced: list[Permutation] = []
 
     def _ensure_chain(self) -> _Chain:
         if self._chain is None:
-            ident = tuple(range(self.degree))
-            reduced: list[tuple] = []
-            chain = _schreier_sims(self.degree, [])
-            for g in self.generators:
-                t = g.images
-                if t == ident or chain.contains(t):
-                    continue
-                reduced.append(t)
-                chain = _schreier_sims(self.degree, reduced)
-            self._chain = chain
-            self._reduced = reduced
+            self._chain = _Chain(self.degree)
+            self._reduced = [g for g in self.generators if self._chain.add(g.images)]
         return self._chain
 
     def reduced_generators(self) -> list[Permutation]:
         """A sub-list of the generators that still generates the group."""
         self._ensure_chain()
-        return [Permutation(t) for t in self._reduced]
+        return list(self._reduced)
 
     def order(self) -> int:
         return self._ensure_chain().order()
@@ -301,13 +300,9 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, generators={len(self.generators)})"
 
 
-def order(group: PermGroup) -> int:
-    """Exact order of the generated group (arbitrary precision)."""
-    return group.order()
-
-
 def orbits(group: PermGroup) -> list[tuple[int, ...]]:
     """Orbit partition of {0..d-1}; cells sorted, ordered by minimal element."""
+    gens = [g.images for g in group.reduced_generators()]
     remaining = set(range(group.degree))
     cells = []
     while remaining:
@@ -316,8 +311,8 @@ def orbits(group: PermGroup) -> list[tuple[int, ...]]:
         queue = [start]
         while queue:
             p = queue.pop(0)
-            for g in group.generators:
-                q = g(p)
+            for g in gens:
+                q = g[p]
                 if q not in orbit:
                     orbit.add(q)
                     queue.append(q)
@@ -390,7 +385,7 @@ def minimal_blocks(group: PermGroup, pair: tuple[int, int]) -> BlockSystem | Non
         parent[ry] = rx
         return ry  # the absorbed representative
 
-    gens = [g.images for g in group.generators]
+    gens = [g.images for g in group.reduced_generators()]
     queue = [union(a, b)]
     while queue:
         c = queue.pop()
@@ -446,7 +441,7 @@ def block_action(group: PermGroup, blocks: BlockSystem) -> tuple[PermGroup, Perm
 
     image_gens = []
     pair_gens = []
-    for g in group.generators:
+    for g in group.reduced_generators():
         cell_img = [-1] * k
         for idx, cell in enumerate(blocks.cells):
             targets = {cell_of[g(p)] for p in cell}
@@ -474,7 +469,8 @@ def block_action(group: PermGroup, blocks: BlockSystem) -> tuple[PermGroup, Perm
 def is_natural_sym_or_alt(group: PermGroup) -> tuple[str, int] | None:
     """("Sym", n) or ("Alt", n) when the group is the full symmetric or
     alternating group on its n-point support; None otherwise."""
-    support = sorted({p for g in group.generators for p in g.moved_points()})
+    gens = group.reduced_generators()
+    support = sorted({p for g in gens for p in g.moved_points()})
     n = len(support)
     if n < 2:
         return None
@@ -482,7 +478,7 @@ def is_natural_sym_or_alt(group: PermGroup) -> tuple[str, int] | None:
     queue = [support[0]]
     while queue:
         p = queue.pop()
-        for g in group.generators:
+        for g in gens:
             q = g(p)
             if q not in reached:
                 reached.add(q)
@@ -492,32 +488,27 @@ def is_natural_sym_or_alt(group: PermGroup) -> tuple[str, int] | None:
     size = group.order()
     if size == math.factorial(n):
         return ("Sym", n)
-    if size * 2 == math.factorial(n) and all(g.is_even() for g in group.generators):
+    if size * 2 == math.factorial(n) and all(g.is_even() for g in gens):
         return ("Alt", n)
     return None
 
 
 def _normal_closure(group: PermGroup, elements: list[Permutation]) -> PermGroup:
     """Smallest normal subgroup of `group` containing the elements."""
-    ident = tuple(range(group.degree))
-    gens: list[tuple] = []
-    for e in elements:
-        if e.images != ident and e.images not in gens:
-            gens.append(e.images)
-    chain = _schreier_sims(group.degree, gens)
+    chain = _Chain(group.degree)
+    gens = [e.images for e in elements if chain.add(e.images)]
     conj_by = [(g.images, _inv(g.images)) for g in group.reduced_generators()]
     queue = list(gens)
     while queue:
         n = queue.pop(0)
         for g, ginv in conj_by:
             c = _mul(_mul(ginv, n), g)
-            if not chain.contains(c):
+            if chain.add(c):
                 gens.append(c)
-                chain = _schreier_sims(group.degree, gens)
                 queue.append(c)
     result = PermGroup(group.degree, [Permutation(t) for t in gens])
     result._chain = chain
-    result._reduced = list(gens)
+    result._reduced = list(result.generators)
     return result
 
 
@@ -544,8 +535,8 @@ def is_solvable(group: PermGroup) -> bool:
 
 
 def is_even_subgroup(group: PermGroup) -> bool:
-    """True iff every generator is an even permutation."""
-    return all(g.is_even() for g in group.generators)
+    """True iff the group lies in the alternating group."""
+    return all(g.is_even() for g in group.reduced_generators())
 
 
 def _largest_prime_factor(n: int, degree: int) -> int:
@@ -562,7 +553,7 @@ def _largest_prime_factor(n: int, degree: int) -> int:
 
 def _restrict_to_orbit(group: PermGroup, orbit: tuple[int, ...]) -> PermGroup:
     index = {p: i for i, p in enumerate(orbit)}
-    gens = [Permutation(tuple(index[g(p)] for p in orbit)) for g in group.generators]
+    gens = [Permutation(tuple(index[g(p)] for p in orbit)) for g in group.reduced_generators()]
     return PermGroup(len(orbit), gens)
 
 

@@ -3,14 +3,20 @@
 A handful of generic parameter instances become graph nodes; each edge
 carries a segment homotopy with its own random unit-modulus gamma pair.
 Tracking known solutions across edges populates per-node registries and
-per-edge correspondence tables, and cycles through the base node whose
-correspondences are total yield permutations of the discovered fiber.
+per-edge correspondence tables. An edge whose correspondence is a
+consistent bijection between two full fibers is usable; a spanning tree of
+the usable edges from the base node turns each other usable edge into one
+fundamental cycle, and each cycle into one permutation of the discovered
+fiber. The monodromy action factors through the graph's fundamental group,
+which these cycles generate, so at most |E|-|V|+1 permutations generate the
+group of every closed walk from the base node over the usable edges.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, IO, Iterable, Sequence
 
@@ -33,7 +39,6 @@ __all__ = [
     "MixedDegree",
     "build_graph",
     "run",
-    "permutations",
     "export_perm_script",
     "encode_solutions",
     "decode_solutions",
@@ -127,6 +132,8 @@ class HomotopyEdge:
     says, which sets audited. Unless a path jumped, the two maps are mutually
     inverse wherever both are defined. The attempted sets record every id
     ever sent (tracked, derived or failed) so failures are not retried.
+    An audit that lands elsewhere deletes the opposite entry it contradicts,
+    so a disputed edge never becomes a bijection and feeds no permutation.
     """
 
     edge_id: int
@@ -295,7 +302,8 @@ def _track_batch(graph: HomotopyGraph, pending: list[int], edge: HomotopyEdge,
     such id is tracked as the audit: landing on the inverse's id audits the
     edge, a failed path leaves the next candidate as the audit, and landing
     on another id means a path jumped, so that id counts as a failure, gets
-    no correspondence, and the rest of the batch is tracked.
+    no correspondence, the opposite map loses the entry that predicted it,
+    and the rest of the batch is tracked.
 
     Returns (paths tracked, failures, newly registered)."""
     if forward:
@@ -303,13 +311,14 @@ def _track_batch(graph: HomotopyGraph, pending: list[int], edge: HomotopyEdge,
         dst = graph.nodes[edge.to_node]
         g0, g1 = edge.gamma_pair
         corr, attempted = edge.forward_map, edge.attempted_forward
-        inverse = _inverse(edge.backward_map)
+        opposite = edge.backward_map
     else:
         src = graph.nodes[edge.to_node]
         dst = graph.nodes[edge.from_node]
         g1, g0 = edge.gamma_pair
         corr, attempted = edge.backward_map, edge.attempted_backward
-        inverse = _inverse(edge.forward_map)
+        opposite = edge.forward_map
+    inverse = _inverse(opposite)
     seg = PathSegment(src.z, dst.z, g0, g1)
     paths = 0
     failures = 0
@@ -335,9 +344,11 @@ def _track_batch(graph: HomotopyGraph, pending: list[int], edge: HomotopyEdge,
             new_count += 1
         if known is not None:
             if dst_id != known:
-                # This path or the one behind the inverse jumped; no
-                # derivation on this edge until a later audit agrees.
+                # This path or the one behind the inverse jumped. Neither
+                # map keeps the disputed pair, and nothing is derived on
+                # this edge until a later audit agrees.
                 failures += 1
+                del opposite[known]
                 inverse = {}
                 continue
             edge.audited = True
@@ -345,50 +356,51 @@ def _track_batch(graph: HomotopyGraph, pending: list[int], edge: HomotopyEdge,
     return paths, failures, new_count
 
 
-def _compose_cycle(graph: HomotopyGraph, steps: list[tuple[HomotopyEdge, bool]]) -> Permutation | None:
-    base_size = len(graph.nodes[0].registry)
-    images = []
-    for start in range(base_size):
-        val: int | None = start
-        for edge, forward in steps:
-            table = edge.forward_map if forward else edge.backward_map
-            val = table.get(val)
-            if val is None:
-                return None
-        images.append(val)
-    if sorted(images) != list(range(base_size)):
+def _edge_bijection(graph: HomotopyGraph, edge: HomotopyEdge, n: int) -> Permutation | None:
+    # The edge's correspondence, from-node ids to to-node ids, when the edge
+    # is usable: both registries hold n ids, one map is a bijection and the
+    # other map contradicts it nowhere.
+    if len(graph.nodes[edge.from_node].registry) != n or len(graph.nodes[edge.to_node].registry) != n:
         return None
-    return Permutation(images)
+    for table, other in ((edge.forward_map, edge.backward_map), (edge.backward_map, edge.forward_map)):
+        if len(table) == n and set(table.values()) == set(range(n)) \
+                and all(table[b] == a for a, b in other.items()):
+            perm = Permutation([table[i] for i in range(n)])
+            return perm if table is edge.forward_map else perm.inverse()
+    return None
 
 
 def _extract_permutations(graph: HomotopyGraph) -> list[Permutation]:
-    """Permutations from simple cycles through node 0 with total correspondences.
+    """One permutation per fundamental cycle of the usable edges.
 
-    Both traversal orientations are enumerated, and parallel edges count as
-    distinct steps; partial correspondences discard the cycle.
+    A breadth-first spanning tree from node 0 runs over the usable edges
+    (see _edge_bijection) in edge-id order and labels each node it reaches
+    with the tree path's correspondence from the base fiber. Every usable
+    non-tree edge u -> v in that component then closes one cycle: base id i
+    goes to u along the tree, across the edge, and back from v along the
+    tree. That gives at most |E|-|V|+1 permutations, in edge-id order.
     """
-    adjacency: dict[int, list[tuple[HomotopyEdge, int, bool]]] = {n.node_id: [] for n in graph.nodes}
+    n = len(graph.nodes[0].registry)
+    usable = []
+    adjacency: dict[int, list] = {node.node_id: [] for node in graph.nodes}  # (edge, neighbour, map)
     for edge in graph.edges:
-        adjacency[edge.from_node].append((edge, edge.to_node, True))
-        adjacency[edge.to_node].append((edge, edge.from_node, False))
-
-    found: list[Permutation] = []
-    seen: set[tuple[int, ...]] = set()
-
-    def visit(current: int, visited: set[int], steps: list[tuple[HomotopyEdge, bool]]) -> None:
-        for edge, nbr, forward in adjacency[current]:
-            if nbr == 0:
-                if not steps or (len(steps) == 1 and steps[0][0] is edge):
-                    continue  # a cycle needs at least two distinct edges
-                perm = _compose_cycle(graph, steps + [(edge, forward)])
-                if perm is not None and perm.images not in seen:
-                    seen.add(perm.images)
-                    found.append(perm)
-            elif nbr not in visited:
-                visit(nbr, visited | {nbr}, steps + [(edge, forward)])
-
-    visit(0, {0}, [])
-    return found
+        perm = _edge_bijection(graph, edge, n)
+        if perm is not None:
+            usable.append((edge, perm))
+            adjacency[edge.from_node].append((edge, edge.to_node, perm))
+            adjacency[edge.to_node].append((edge, edge.from_node, perm.inverse()))
+    label = {0: Permutation.identity(n)}
+    tree: set[int] = set()
+    queue = deque([0])
+    while queue:
+        u = queue.popleft()
+        for edge, v, perm in adjacency[u]:
+            if v not in label:
+                label[v] = label[u] * perm
+                tree.add(edge.edge_id)
+                queue.append(v)
+    return [label[edge.from_node] * perm * label[edge.to_node].inverse()
+            for edge, perm in usable if edge.from_node in label and edge.edge_id not in tree]
 
 
 def run(graph: HomotopyGraph, opts: RunOptions | None = None,
@@ -457,11 +469,6 @@ def run(graph: HomotopyGraph, opts: RunOptions | None = None,
         failures=failures,
         stopped_by=stopped_by,
     )
-
-
-def permutations(result: MonodromyResult) -> list[Permutation]:
-    """The permutations recorded by the run, each total on the id set."""
-    return list(result.permutations)
 
 
 def export_perm_script(perms: Sequence[Permutation], group_name: str = "G",

@@ -20,7 +20,6 @@ from monogal.groups import (
     minimal_blocks,
     minimal_nontrivial_blocks,
     orbits,
-    order,
     parse_perm_script,
 )
 
@@ -150,16 +149,16 @@ def test_degree_mismatch():
 
 def test_order_symmetric_groups():
     for n in (2, 3, 4, 6, 10):
-        assert order(sym(n)) == math.factorial(n)
+        assert sym(n).order() == math.factorial(n)
 
 
 def test_order_standard_groups():
-    assert order(alt(5)) == 60
-    assert order(dihedral4()) == 8
-    assert order(klein4()) == 4
-    assert order(frobenius20()) == 20
-    assert order(PermGroup(5, [])) == 1
-    assert order(psl25()) == 60
+    assert alt(5).order() == 60
+    assert dihedral4().order() == 8
+    assert klein4().order() == 4
+    assert frobenius20().order() == 20
+    assert PermGroup(5, []).order() == 1
+    assert psl25().order() == 60
 
 
 def test_order_invariant_under_generator_presentation():
@@ -169,10 +168,10 @@ def test_order_invariant_under_generator_presentation():
     # More generators, shuffled, conjugated: same group order.
     big = gens + [gens[0] * gens[1], gens[1] * gens[0] * gens[1]]
     rng.shuffle(big)
-    assert order(PermGroup(6, big)) == 720
+    assert PermGroup(6, big).order() == 720
     c = Permutation([3, 0, 4, 1, 5, 2])
     conj = [c.inverse() * g * c for g in gens]
-    assert order(PermGroup(6, conj)) == 720
+    assert PermGroup(6, conj).order() == 720
 
 
 def test_contains():
@@ -190,13 +189,13 @@ def test_reduced_generators():
     group = PermGroup(4, [Permutation.identity(4), a, b, a * b, b * a])
     reduced = group.reduced_generators()
     assert len(reduced) == 2
-    assert order(PermGroup(4, reduced)) == 24
+    assert PermGroup(4, reduced).order() == 24
 
 
 def test_lagrange_for_subgroup_orders():
     g = sym(5)
     for sub in (alt(5), frobenius20(), PermGroup(5, [cycle(5, [0, 1])])):
-        assert order(g) % order(sub) == 0
+        assert g.order() % sub.order() == 0
 
 
 # ------------------------------------------------------------
@@ -249,9 +248,9 @@ def test_block_system_validation():
 def test_block_action_dihedral():
     g = dihedral4()
     image, kernel = block_action(g, BlockSystem(((0, 2), (1, 3))))
-    assert order(image) == 2
-    assert order(kernel) == 4
-    assert order(image) * order(kernel) == order(g)
+    assert image.order() == 2
+    assert kernel.order() == 4
+    assert image.order() * kernel.order() == g.order()
     # Kernel elements preserve each cell.
     for k in kernel.generators:
         for cell in ((0, 2), (1, 3)):
@@ -260,9 +259,9 @@ def test_block_action_dihedral():
 
 def test_block_action_klein():
     image, kernel = block_action(klein4(), BlockSystem(((0, 1), (2, 3))))
-    assert order(image) == 2
-    assert order(kernel) == 2
-    assert order(image) * order(kernel) == 4
+    assert image.order() == 2
+    assert kernel.order() == 2
+    assert image.order() * kernel.order() == 4
 
 
 def test_block_action_invalid_partition():
@@ -365,15 +364,15 @@ def test_width_unsupported_group():
 
 def test_fivepoint_group_structure():
     g = fivepoint_group()
-    assert order(g) == 1857945600  # 2^9 * 10!
+    assert g.order() == 1857945600  # 2^9 * 10!
     assert is_even_subgroup(g)
     blocks = minimal_nontrivial_blocks(g)
     expected = ((0, 14), (1, 11), (2, 13), (3, 15), (4, 12), (5, 7), (6, 9), (8, 10), (16, 17), (18, 19))
     assert blocks.cells == expected
     image, kernel = block_action(g, blocks)
-    assert order(image) == math.factorial(10)
-    assert order(kernel) == 2 ** 9
-    assert order(image) * order(kernel) == order(g)
+    assert image.order() == math.factorial(10)
+    assert kernel.order() == 2 ** 9
+    assert image.order() * kernel.order() == g.order()
     assert galois_width(g) == 10
 
 
@@ -430,7 +429,7 @@ def test_parse_perm_script_round_trips_fivepoint_listing():
     lines.append("G:=Group(" + ", ".join(f"p{k}" for k in range(len(FIVEPOINT_GENERATORS))) + ");")
     perms = parse_perm_script("\n".join(lines))
     assert len(perms) == 19
-    assert order(PermGroup(20, perms)) == 1857945600
+    assert PermGroup(20, perms).order() == 1857945600
 
 
 def test_parse_perm_script_generators_are_the_group_line_names():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from monogal import monodromy
-from monogal.groups import PermGroup, Permutation, order
+from monogal.groups import PermGroup, Permutation
 from monogal.monodromy import (
     MixedDegree,
     RunOptions,
@@ -17,7 +17,6 @@ from monogal.monodromy import (
     decode_solutions,
     encode_solutions,
     export_perm_script,
-    permutations,
     run,
 )
 from monogal.slp import RankDeficient, SystemBuilder
@@ -169,11 +168,11 @@ def test_run_discovers_all_cubic_solutions():
 
 def test_run_permutations_generate_transitive_group():
     _, result = cubic_run()
-    perms = permutations(result)
+    perms = result.permutations
     assert perms
     assert all(p.degree == 3 for p in perms)
     g = PermGroup(3, perms)
-    assert order(g) == 6  # generic cubic: full S3
+    assert g.order() == 6  # generic cubic: full S3
 
 
 def test_run_correspondences_are_inverse_bijections():
@@ -325,6 +324,10 @@ def test_audit_landing_on_another_id_counts_a_failure(monkeypatch):
     assert edge.backward_map == {1: 1}
     assert edge.attempted_backward == {0, 1}
     assert not edge.audited
+    # The forward entry that predicted the disputed landing is gone, so
+    # neither map can become a bijection and the edge feeds no permutation.
+    assert edge.forward_map == {1: 1}
+    assert monodromy._edge_bijection(graph, edge, 2) is None
 
 
 def test_inverse_leaves_out_targets_two_ids_reach():
@@ -367,6 +370,126 @@ def test_derived_ids_count_toward_the_failure_rate(monkeypatch):
     assert result.stopped_by is StopReason.Saturation
     assert (result.loops_run, result.paths_tracked, result.failures) == (1, 2, 2)
     assert edge.backward_map == {0: 0, 1: 1}
+
+
+# ------------------------------------------------------------
+# permutation extraction
+# ------------------------------------------------------------
+
+
+def closure(degree, gens):
+    # Every element of the group the generators generate, by brute force.
+    seen = {Permutation.identity(degree)}
+    frontier = list(seen)
+    while frontier:
+        frontier = [q for q in dict.fromkeys(p * g for p in frontier for g in gens) if q not in seen]
+        seen.update(frontier)
+    return seen
+
+
+def simple_cycle_permutations(degree, steps):
+    # Reference: the permutation of every simple cycle through node 0, in
+    # both orientations, over (from, to, images) steps. Walking one edge out
+    # and back also counts; it adds only the identity.
+    adjacency = {}
+    for a, b, images in steps:
+        perm = Permutation(images)
+        adjacency.setdefault(a, []).append((b, perm))
+        adjacency.setdefault(b, []).append((a, perm.inverse()))
+    found = []
+
+    def visit(node, visited, path, length):
+        for nbr, perm in adjacency[node]:
+            if nbr == 0 and length >= 1:
+                found.append(path * perm)
+            elif nbr not in visited:
+                visit(nbr, visited | {nbr}, path * perm, length + 1)
+
+    visit(0, {0}, Permutation.identity(degree), 0)
+    return found
+
+
+def untracked_graph(sizes):
+    # Four nodes whose registries hold the given numbers of ids; the edge
+    # maps are left for the test to fill in by hand.
+    z0, x0 = CUBIC_SEED
+    graph = build_graph(cubic_system(), z0, x0, 4, np.random.default_rng(5))
+    for node, size in zip(graph.nodes, sizes):
+        while len(node.registry) < size:
+            node.registry.register(np.array([node.node_id + 1j * (len(node.registry) + 1)]))
+    return graph
+
+
+def hand_built_graph():
+    # Nodes 0-2 hold all three ids, node 3 only two.
+    graph = untracked_graph((3, 3, 3, 2))
+    gamma = graph.edges[0].gamma_pair
+    for a, b in ((0, 1), (1, 2), (0, 2)):  # parallel edges 6, 7, 8
+        graph.edges.append(monodromy.HomotopyEdge(len(graph.edges), a, b, gamma))
+    maps = {
+        0: ({0: 1, 1: 0, 2: 2}, {}),                    # 0-1 bijection
+        1: ({0: 2}, {2: 0, 0: 1, 1: 2}),                # 0-2 bijection backwards, consistent
+        2: ({0: 0, 1: 1}, {0: 0, 1: 1}),                # 0-3 short registry
+        3: ({0: 2, 1: 1, 2: 0}, {2: 0, 1: 1, 0: 2}),    # 1-2 mutually inverse
+        4: ({0: 0, 1: 1}, {}),                          # 1-3 short registry
+        5: ({}, {0: 0, 1: 1}),                          # 2-3 short registry
+        6: ({0: 0, 1: 2, 2: 1}, {2: 1}),                # 0-1 parallel, consistent
+        7: ({0: 1, 1: 0}, {}),                          # 1-2 parallel, partial
+        8: ({0: 0, 1: 2, 2: 1}, {0: 0, 1: 1}),          # 0-2 parallel, disputed at id 1
+    }
+    for edge in graph.edges:
+        edge.forward_map, edge.backward_map = (dict(m) for m in maps[edge.edge_id])
+    # (from, to, forward images) of the usable edges 0, 1, 3 and 6; their
+    # cycles generate the cyclic group of order 3.
+    usable = [(0, 1, (1, 0, 2)), (0, 2, (2, 0, 1)), (1, 2, (2, 1, 0)), (0, 1, (0, 2, 1))]
+    return graph, usable
+
+
+def test_extraction_takes_one_generator_per_fundamental_cycle():
+    graph, usable = hand_built_graph()
+    usable_ids = [e.edge_id for e in graph.edges if monodromy._edge_bijection(graph, e, 3) is not None]
+    assert usable_ids == [0, 1, 3, 6]
+    perms = monodromy._extract_permutations(graph)
+    # Four usable edges on three nodes: a spanning tree of two, two cycles.
+    assert len(perms) == 2
+    reference = closure(3, simple_cycle_permutations(3, usable))
+    assert len(reference) == 3
+    assert closure(3, perms) == reference
+    # Taken at face value, the disputed edge's forward map would close
+    # cycles outside the group.
+    assert len(closure(3, simple_cycle_permutations(3, usable + [(0, 2, (0, 2, 1))]))) == 6
+
+
+def test_extraction_follows_tree_paths_out_from_the_base():
+    # The square 0-1-2-3-0: node 2 sits two tree edges from the base, and
+    # the maps on the way there do not commute.
+    graph = untracked_graph((3, 3, 3, 3))
+    square = {0: (1, 0, 2), 2: (0, 1, 2), 3: (0, 2, 1), 5: (1, 0, 2)}  # edges 0-1, 0-3, 1-2, 2-3
+    for edge in graph.edges:
+        edge.forward_map = dict(enumerate(square.get(edge.edge_id, ())))
+    perms = monodromy._extract_permutations(graph)
+    assert len(perms) == 1
+    steps = [(e.from_node, e.to_node, square[e.edge_id]) for e in graph.edges if e.edge_id in square]
+    assert closure(3, perms) == closure(3, simple_cycle_permutations(3, steps))
+    assert perms == [Permutation((2, 1, 0))]
+
+
+def test_p3p_eight_nodes_generators_stay_within_the_cycle_rank(monkeypatch):
+    from monogal import cli
+
+    runs = []
+    real_run = cli.run
+
+    def recorded(graph, *args):
+        result = real_run(graph, *args)
+        runs.append((graph, result))
+        return result
+
+    monkeypatch.setattr(cli, "run", recorded)
+    assert cli.main(["monodromy", "p3p", "--seed", "1", "--nodes", "8"]) == 0
+    (graph, result), = runs
+    assert PermGroup(8, result.permutations).order() == 192
+    assert len(result.permutations) <= len(graph.edges) - len(graph.nodes) + 1
 
 
 # ------------------------------------------------------------
