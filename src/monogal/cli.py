@@ -1,8 +1,11 @@
 """Command-line interface.
 
-Commands: fabricate, monodromy, track, group, ransac-trials. All randomness
-flows from one seeded generator per invocation, so identical seeds and flags
-reproduce identical bytes on stdout and in written files.
+Commands: fabricate, monodromy, track, group, ransac-trials. The commands
+that draw random numbers (fabricate, monodromy, track) take --seed, and all
+their randomness flows from one generator seeded by it, so identical seeds
+and flags reproduce identical bytes on stdout. Written files are identical
+too when the BLAS runs one thread; with more threads the last bits of the
+linear solves, and so of the written solutions, may differ.
 
 Exit codes: 0 success, 1 path failures in track, 2 bad input (unknown
 problem, parse error, unreadable or mis-shaped solutions JSON, invalid
@@ -30,7 +33,7 @@ from .monodromy import (
     export_perm_script,
     run,
 )
-from .problems import PROBLEMS, FivePointSolution, InvalidProbability, NoInlierSample, ransac_trials, twisted_pair
+from .problems import PROBLEMS, InvalidProbability, NoInlierSample, ransac_trials
 from .slp import GateSystem, ParseError, RankDeficient, parse_system, residual, square_up
 from .tracker import PathSegment, refine, track
 
@@ -82,7 +85,7 @@ def cmd_fabricate(args) -> int:
 
 
 def _load_system(name: str):
-    """Returns (system, problem-or-None) for a problem name or a system
+    """Returns (system, problem-or-None) for a built-in problem or a system
     source file, or an exit code."""
     problem = PROBLEMS.get(name)
     if problem is not None:
@@ -190,7 +193,10 @@ def cmd_monodromy(args) -> int:
         doc = encode_solutions(z0, result.solutions, _residuals(original, z0, result.solutions))
         Path(args.out_solutions).write_text(json.dumps(doc, indent=2) + "\n")
     if args.out_group is not None:
-        Path(args.out_group).write_text(export_perm_script(result.permutations) + "\n")
+        # A run that closed no cycle still writes a readable script: the
+        # identity generates its trivial group.
+        perms = result.permutations or [groupmod.Permutation.identity(len(result.solutions))]
+        Path(args.out_group).write_text(export_perm_script(perms) + "\n")
 
     return _report_group(groupmod.PermGroup(len(result.solutions), result.permutations), summary_blocks=True)
 
@@ -272,10 +278,8 @@ def cmd_track(args) -> int:
         else:
             failures += 1
 
-    if problem is not None and problem.name == "fivepoint":
-        doubled = list(endpoints)
-        for x in endpoints:
-            doubled.append(twisted_pair(FivePointSolution.from_vector(x)).as_vector())
+    if problem is not None and problem.deck_map is not None:
+        doubled = endpoints + [problem.deck_map(x) for x in endpoints]
         # Polish against the full system: the deck map amplifies the tiny
         # coordinate error the tracker leaves behind.
         endpoints = [refine(full, z_target, x, iters=3).x for x in doubled]
@@ -356,19 +360,18 @@ def cmd_ransac_trials(args) -> int:
 
 
 def _parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
-    common.add_argument("--verbose", action="store_true", help="extra progress output")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
 
     p = argparse.ArgumentParser(prog="monogal", description="Monodromy solving and Galois-group analysis of parametric polynomial systems.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    f = sub.add_parser("fabricate", parents=[common], help="fabricate a problem-solution pair")
-    f.add_argument("problem", help="problem name (p3p, fivepoint)")
+    f = sub.add_parser("fabricate", parents=[seeded], help="fabricate a problem-solution pair")
+    f.add_argument("problem", help="built-in problem (p3p, fivepoint)")
     f.set_defaults(func=cmd_fabricate)
 
-    m = sub.add_parser("monodromy", parents=[common], help="discover the solution set and monodromy group")
-    m.add_argument("system", help="problem name or system source file")
+    m = sub.add_parser("monodromy", parents=[seeded], help="discover the solution set and monodromy group")
+    m.add_argument("system", help="built-in problem or system source file")
     m.add_argument("--start", help="solutions JSON seeding a file-based system")
     m.add_argument("--nodes", type=int, default=5, help="graph nodes (default 5)")
     m.add_argument("--stabilization", type=int, default=4,
@@ -379,16 +382,17 @@ def _parser() -> argparse.ArgumentParser:
     m.add_argument("--equivalencer", default=None, help="registered equivalencer name")
     m.add_argument("--out-solutions", default=None, help="write solutions JSON here")
     m.add_argument("--out-group", default=None, help="write perm script here")
+    m.add_argument("--verbose", action="store_true", help="print the graph's node and edge counts")
     m.set_defaults(func=cmd_monodromy)
 
-    t = sub.add_parser("track", parents=[common], help="track start solutions to a target instance")
-    t.add_argument("system", help="problem name or system source file")
+    t = sub.add_parser("track", parents=[seeded], help="track start solutions to a target instance")
+    t.add_argument("system", help="built-in problem or system source file")
     t.add_argument("starts", help="solutions JSON at the start parameters")
     t.add_argument("target", help="solutions JSON holding the target parameters")
     t.add_argument("--out", default=None, help="write endpoint JSON here")
     t.set_defaults(func=cmd_track)
 
-    g = sub.add_parser("group", parents=[common], help="analyze a perm-script group")
+    g = sub.add_parser("group", help="analyze a perm-script group")
     g.add_argument("script", help="perm-script file")
     g.add_argument("--order", action="store_true")
     g.add_argument("--blocks", action="store_true")
@@ -396,7 +400,7 @@ def _parser() -> argparse.ArgumentParser:
     g.add_argument("--even", action="store_true")
     g.set_defaults(func=cmd_group)
 
-    r = sub.add_parser("ransac-trials", parents=[common], help="RanSaC trial-count formula")
+    r = sub.add_parser("ransac-trials", help="RanSaC trial-count formula")
     r.add_argument("--n", type=int, default=None, help="total correspondences")
     r.add_argument("--k", type=int, default=None, help="sample size")
     r.add_argument("--p-inlier", type=float, required=True, help="inlier fraction in (0,1]")

@@ -293,9 +293,6 @@ class PermGroup:
             return False
         return self._ensure_chain().contains(p.images)
 
-    def is_trivial(self) -> bool:
-        return self.order() == 1
-
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, generators={len(self.generators)})"
 

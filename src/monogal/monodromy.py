@@ -10,6 +10,10 @@ fundamental cycle, and each cycle into one permutation of the discovered
 fiber. The monodromy action factors through the graph's fundamental group,
 which these cycles generate, so at most |E|-|V|+1 permutations generate the
 group of every closed walk from the base node over the usable edges.
+
+Paths run at the tracker's fixed settings and every registry merges keys
+within one fixed relative tolerance, 1e-6; only the stopping rule
+(RunOptions) is configurable.
 """
 
 from __future__ import annotations
@@ -18,14 +22,14 @@ import enum
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, IO, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .groups import Permutation
 from .linalg import numerical_rank
 from .slp import GateSystem, RankDeficient, jacobian_unknowns, residual
-from .tracker import PathSegment, TrackerOptions, track
+from .tracker import PathSegment, track
 
 __all__ = [
     "SolutionRegistry",
@@ -45,6 +49,8 @@ __all__ = [
 ]
 
 _RESIDUAL_GUARD = 1e-6
+# Relative max-norm distance at which two registry keys are one solution.
+_DEDUP_TOLERANCE = 1e-6
 
 
 class TrackFailureRate(ArithmeticError):
@@ -59,14 +65,12 @@ class SolutionRegistry:
     """Ordered store of solution vectors with stable ids and near-duplicate merging.
 
     Two vectors are the same solution when their keys (the vectors themselves,
-    or their equivalencer projections) differ by at most dedup_tolerance in
-    the max-norm, normalized by (1 + max-norm of the stored key). Ids follow
-    assignment order and are never reused.
+    or their equivalencer projections) differ by at most _DEDUP_TOLERANCE
+    (1e-6) in the max-norm, normalized by (1 + the larger max-norm of the
+    two keys). Ids follow assignment order and are never reused.
     """
 
-    def __init__(self, dedup_tolerance: float = 1e-6,
-                 equivalencer: Callable[[np.ndarray], np.ndarray] | None = None):
-        self.dedup_tolerance = float(dedup_tolerance)
+    def __init__(self, equivalencer: Callable[[np.ndarray], np.ndarray] | None = None):
         self.equivalencer = equivalencer
         self._solutions: list[np.ndarray] = []
         self._keys: list[np.ndarray] = []
@@ -92,7 +96,7 @@ class SolutionRegistry:
             if stored.shape != key.shape:
                 continue
             scale = 1.0 + max(float(np.abs(stored).max()), float(np.abs(key).max()))
-            if float(np.abs(stored - key).max()) <= self.dedup_tolerance * scale:
+            if float(np.abs(stored - key).max()) <= _DEDUP_TOLERANCE * scale:
                 return idx
         return None
 
@@ -210,7 +214,7 @@ def _sample_gamma_pair(rng: np.random.Generator) -> tuple[complex, complex]:
 
 
 def build_graph(sys: GateSystem, z0: np.ndarray, x0: np.ndarray, n_nodes: int,
-                rng: np.random.Generator, dedup_tolerance: float = 1e-6,
+                rng: np.random.Generator,
                 equivalencer: Callable[[np.ndarray], np.ndarray] | None = None) -> HomotopyGraph:
     """Complete graph over n_nodes generic instances, seeded with (z0, x0).
 
@@ -220,7 +224,6 @@ def build_graph(sys: GateSystem, z0: np.ndarray, x0: np.ndarray, n_nodes: int,
         x0: a solution of sys at z0, residual at most 1e-8.
         n_nodes: number of base points, at least 2.
         rng: drives the fresh parameter draws and gamma pairs.
-        dedup_tolerance: registry near-duplicate threshold.
         equivalencer: optional projection whose values define solution identity.
 
     Raises:
@@ -244,11 +247,11 @@ def build_graph(sys: GateSystem, z0: np.ndarray, x0: np.ndarray, n_nodes: int,
     if numerical_rank(jac) < n_unk:
         raise RankDeficient(f"Jacobian rank below {n_unk} at the seed solution")
 
-    nodes = [BasePoint(0, z0, SolutionRegistry(dedup_tolerance, equivalencer))]
+    nodes = [BasePoint(0, z0, SolutionRegistry(equivalencer))]
     nodes[0].registry.register(x0)
     for k in range(1, n_nodes):
         z = rng.standard_normal(len(z0)) + 1j * rng.standard_normal(len(z0))
-        nodes.append(BasePoint(k, z, SolutionRegistry(dedup_tolerance, equivalencer)))
+        nodes.append(BasePoint(k, z, SolutionRegistry(equivalencer)))
     edges = []
     for a in range(n_nodes):
         for b in range(a + 1, n_nodes):
@@ -294,7 +297,7 @@ def _inverse(mapping: dict[int, int]) -> dict[int, int]:
 
 
 def _track_batch(graph: HomotopyGraph, pending: list[int], edge: HomotopyEdge,
-                 forward: bool, tracker_opts: TrackerOptions) -> tuple[int, int, int]:
+                 forward: bool) -> tuple[int, int, int]:
     """Sends pending ids across one edge direction.
 
     An id that the opposite direction maps back to takes its correspondence
@@ -330,7 +333,7 @@ def _track_batch(graph: HomotopyGraph, pending: list[int], edge: HomotopyEdge,
             corr[sid] = known
             continue
         paths += 1
-        result = track(graph.system, seg, src.registry[sid], tracker_opts)
+        result = track(graph.system, seg, src.registry[sid])
         if not result.success:
             failures += 1
             continue
@@ -403,8 +406,7 @@ def _extract_permutations(graph: HomotopyGraph) -> list[Permutation]:
             for edge, perm in usable if edge.from_node in label and edge.edge_id not in tree]
 
 
-def run(graph: HomotopyGraph, opts: RunOptions | None = None,
-        tracker_opts: TrackerOptions | None = None) -> MonodromyResult:
+def run(graph: HomotopyGraph, opts: RunOptions | None = None) -> MonodromyResult:
     """Tracks solutions around the graph until a stopping criterion fires.
 
     Each loop sends every pending solution across the edge direction with the
@@ -424,8 +426,6 @@ def run(graph: HomotopyGraph, opts: RunOptions | None = None,
     """
     if opts is None:
         opts = RunOptions()
-    if tracker_opts is None:
-        tracker_opts = TrackerOptions()
     base = graph.nodes[0].registry
     loops = 0
     paths = 0
@@ -448,7 +448,7 @@ def run(graph: HomotopyGraph, opts: RunOptions | None = None,
             _add_random_edge(graph)
             fresh_edges += 1
             continue
-        n_paths, n_fail, n_new = _track_batch(graph, pending, edge, forward, tracker_opts)
+        n_paths, n_fail, n_new = _track_batch(graph, pending, edge, forward)
         loops += 1
         paths += n_paths
         failures += n_fail
@@ -471,8 +471,7 @@ def run(graph: HomotopyGraph, opts: RunOptions | None = None,
     )
 
 
-def export_perm_script(perms: Sequence[Permutation], group_name: str = "G",
-                       sink: IO[str] | None = None) -> str:
+def export_perm_script(perms: Sequence[Permutation]) -> str:
     """Writes the perm-script form: PermList lines (1-based) plus a Group line.
 
     Raises:
@@ -486,11 +485,8 @@ def export_perm_script(perms: Sequence[Permutation], group_name: str = "G",
         images = ", ".join(str(v + 1) for v in p.images)
         lines.append(f"p{k}:= PermList([{images}]);")
     names = ", ".join(f"p{k}" for k in range(len(perms)))
-    lines.append(f"{group_name}:=Group({names});")
-    text = "\n".join(lines)
-    if sink is not None:
-        sink.write(text)
-    return text
+    lines.append(f"G:=Group({names});")
+    return "\n".join(lines)
 
 
 def _c2pair(v: complex) -> list[float]:

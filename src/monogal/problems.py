@@ -531,13 +531,18 @@ def ransac_trials(n: int, k: int, p_inlier: float, s: float) -> int:
 
 @dataclass(frozen=True)
 class Problem:
-    """A named built-in problem the CLI can fabricate and solve."""
+    """A named built-in problem the CLI can fabricate and solve.
+
+    deck_map is the problem's declared deck symmetry on solution vectors:
+    it sends a solution to another solution of the same instance (None when
+    the problem declares none).
+    """
 
     name: str
     build_system: Callable[[], GateSystem]
     fabricate: Callable[[np.random.Generator], tuple[np.ndarray, np.ndarray]]
-    solution_count: int
     equivalencers: dict[str, Callable[[np.ndarray], np.ndarray]]
+    deck_map: Callable[[np.ndarray], np.ndarray] | None
 
 
 def _p3p_fabricate_vectors(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -550,19 +555,23 @@ def _fivepoint_fabricate_vectors(rng: np.random.Generator) -> tuple[np.ndarray, 
     return inst.as_params(), sol.as_vector()
 
 
+def _fivepoint_deck_map(x: np.ndarray) -> np.ndarray:
+    return twisted_pair(FivePointSolution.from_vector(x)).as_vector()
+
+
 PROBLEMS: dict[str, Problem] = {
     "p3p": Problem(
         name="p3p",
         build_system=p3p_system,
         fabricate=_p3p_fabricate_vectors,
-        solution_count=8,
         equivalencers={},
+        deck_map=None,
     ),
     "fivepoint": Problem(
         name="fivepoint",
         build_system=fivepoint_system,
         fabricate=_fivepoint_fabricate_vectors,
-        solution_count=20,
         equivalencers={"translation": fivepoint_equivalencer},
+        deck_map=_fivepoint_deck_map,
     ),
 }

@@ -10,16 +10,18 @@ otherwise. Solutions are continued along phi by integrating the Davidenko ODE
     x'(t) = -(df/dx)^{-1} (df/dz) phi'(t)
 
 with a 4th-order Runge-Kutta predictor and a Newton corrector at fixed t,
-using step doubling/halving. Endpoints are polished by a few extra Newton
-steps. Tracking is deterministic: identical inputs and options produce
-identical results bit for bit.
+growing the step by 1.5 after an accepted step and halving it after a
+rejected one. Endpoints are polished by a few extra Newton steps. Step
+sizes, tolerances and budgets are fixed module constants, not options.
+Tracking is deterministic: identical inputs produce identical results bit
+for bit at a fixed BLAS thread count.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,18 +32,28 @@ from .slp import EvaluationSingular, GateSystem
 __all__ = [
     "DegeneratePath",
     "PathSegment",
-    "TrackerOptions",
     "TrackStatus",
     "TrackResult",
     "RefineOutcome",
     "path_point",
     "path_tangent",
     "track",
-    "track_many",
     "refine",
 ]
 
 _DIVERGENCE_BOUND = 1e8
+# Step control: the first step, its bounds and its growth and shrink factors.
+_INITIAL_STEP = 0.05
+_MIN_STEP = 1e-7
+_MAX_STEP = 0.25
+_STEP_INCREASE = 1.5
+_STEP_DECREASE = 0.5
+# Corrector residual that accepts a step, and the Newton iterations it gets.
+_CORRECTOR_TOL = 1e-8
+_MAX_CORRECTOR_ITERS = 3
+# Step budget per path and Newton polish of the endpoint.
+_MAX_STEPS = 10000
+_ENDPOINT_REFINE_ITERS = 5
 
 
 class DegeneratePath(ArithmeticError):
@@ -80,29 +92,6 @@ class PathSegment:
         g0, g1 = self.gamma_start, self.gamma_end
         object.__setattr__(self, "_dnum", g1 * self.z_end - g0 * self.z_start)
         object.__setattr__(self, "_dden", g1 - g0)
-
-
-@dataclass(frozen=True)
-class TrackerOptions:
-    initial_step: float = 0.05
-    min_step: float = 1e-7
-    max_step: float = 0.25
-    corrector_tolerance: float = 1e-8
-    max_corrector_iters: int = 3
-    step_increase_factor: float = 1.5
-    step_decrease_factor: float = 0.5
-    max_steps: int = 10000
-    endpoint_refine_iters: int = 5
-
-    def __post_init__(self):
-        if not (0 < self.min_step <= self.initial_step <= self.max_step < 1):
-            raise ValueError("need 0 < min_step <= initial_step <= max_step < 1")
-        if self.step_increase_factor <= 1 or not (0 < self.step_decrease_factor < 1):
-            raise ValueError("step factors on the wrong side of 1")
-        if self.corrector_tolerance <= 0 or self.max_corrector_iters < 1:
-            raise ValueError("corrector settings out of range")
-        if self.max_steps < 1 or self.endpoint_refine_iters < 0:
-            raise ValueError("step budgets out of range")
 
 
 class TrackStatus(enum.Enum):
@@ -193,7 +182,7 @@ def refine(sys: GateSystem, z, x, iters: int) -> RefineOutcome:
     return RefineOutcome(x, res)
 
 
-def track(sys: GateSystem, seg: PathSegment, x_start, opts: TrackerOptions | None = None) -> TrackResult:
+def track(sys: GateSystem, seg: PathSegment, x_start) -> TrackResult:
     """Tracks one solution of a square system along a parameter segment.
 
     RK4 predictor on the Davidenko ODE, Newton corrector at fixed t, adaptive
@@ -204,9 +193,7 @@ def track(sys: GateSystem, seg: PathSegment, x_start, opts: TrackerOptions | Non
         sys: square system (num_outputs == num_unknowns).
         seg: parameter segment to follow from t=0 to t=1.
         x_start: solution at path_point(seg, 0); residual must be <= 1e-6.
-        opts: tracker options (defaults used when None).
     """
-    opts = opts or TrackerOptions()
     if sys.num_outputs != sys.num_unknowns:
         raise ValueError(f"system is not square: {sys.num_outputs} outputs, {sys.num_unknowns} unknowns")
     x = np.asarray(x_start, dtype=complex)
@@ -217,9 +204,8 @@ def track(sys: GateSystem, seg: PathSegment, x_start, opts: TrackerOptions | Non
     if comp.residual(z0, x) > 1e-6:
         raise ValueError("x_start is not a solution at the segment start (residual > 1e-6)")
 
-    tol = opts.corrector_tolerance
     t = 0.0
-    h = opts.initial_step
+    h = _INITIAL_STEP
     steps = 0
 
     def rhs(t_at: float, x_at: np.ndarray) -> np.ndarray:
@@ -229,7 +215,7 @@ def track(sys: GateSystem, seg: PathSegment, x_start, opts: TrackerOptions | Non
         return lu_solve(jac, -b)
 
     while t < 1.0:
-        if steps >= opts.max_steps:
+        if steps >= _MAX_STEPS:
             return TrackResult(TrackStatus.MaxStepsReached, x, steps, t)
         steps += 1
         h_eff = min(h, 1.0 - t)
@@ -245,14 +231,14 @@ def track(sys: GateSystem, seg: PathSegment, x_start, opts: TrackerOptions | Non
             t_new = 1.0 if h_eff >= 1.0 - t else t + h_eff
             z_new = path_point(seg, t_new)
             x_corr = x_pred
-            for _ in range(opts.max_corrector_iters):
+            for _ in range(_MAX_CORRECTOR_ITERS):
                 f, jac = comp.value_and_jac(z_new, x_corr)
-                if _maxabs(f) <= tol:
+                if _maxabs(f) <= _CORRECTOR_TOL:
                     accepted = True
                     break
                 x_corr = x_corr + lu_solve(jac, -f)
             else:
-                accepted = comp.residual(z_new, x_corr) <= tol
+                accepted = comp.residual(z_new, x_corr) <= _CORRECTOR_TOL
         except (SingularMatrix, EvaluationSingular, DegeneratePath):
             accepted = False
 
@@ -261,31 +247,17 @@ def track(sys: GateSystem, seg: PathSegment, x_start, opts: TrackerOptions | Non
             t = t_new
             if _maxabs(x) > _DIVERGENCE_BOUND:
                 return TrackResult(TrackStatus.CorrectorDiverged, x, steps, t)
-            h = min(h * opts.step_increase_factor, opts.max_step)
+            h = min(h * _STEP_INCREASE, _MAX_STEP)
         else:
-            h = h * opts.step_decrease_factor
-            if h < opts.min_step:
+            h = h * _STEP_DECREASE
+            if h < _MIN_STEP:
                 return TrackResult(TrackStatus.MinStepReached, x, steps, t)
 
     # Endpoint refinement at the exact target parameters.
     try:
-        x, res = refine(sys, seg.z_end, x, opts.endpoint_refine_iters)
+        x, res = refine(sys, seg.z_end, x, _ENDPOINT_REFINE_ITERS)
     except (SingularMatrix, EvaluationSingular):
         return TrackResult(TrackStatus.SingularEndpoint, x, steps, 1.0)
-    if res <= 10.0 * tol and _maxabs(x) <= _DIVERGENCE_BOUND:
+    if res <= 10.0 * _CORRECTOR_TOL and _maxabs(x) <= _DIVERGENCE_BOUND:
         return TrackResult(TrackStatus.Success, x, steps, 1.0)
     return TrackResult(TrackStatus.CorrectorDiverged, x, steps, 1.0)
-
-
-def track_many(
-    sys: GateSystem,
-    seg: PathSegment,
-    starts: Sequence[np.ndarray],
-    opts: TrackerOptions | None = None,
-) -> list[TrackResult]:
-    """Tracks each start along the segment; results in input order.
-
-    Paths are independent; one failure does not abort the batch.
-    """
-    opts = opts or TrackerOptions()
-    return [track(sys, seg, x0, opts) for x0 in starts]

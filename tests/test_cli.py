@@ -25,6 +25,18 @@ def run_cli(capsys, *argv):
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_cli_one_blas_thread(*argv) -> str:
+    # A fresh interpreter with one BLAS thread, because OpenBLAS's LU returns
+    # other bits under other thread counts. Returns stdout.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    return subprocess.run([sys.executable, "-m", "monogal.cli", *argv],
+                          env=env, check=True, capture_output=True, text=True).stdout
+
+
 CUBIC_SOURCE = "params z1, z2; unknowns x; eqs x^3 + z1*x + z2;"
 
 
@@ -143,16 +155,28 @@ def test_monodromy_p3p_no_early_stop_at_six_solutions(capsys, seed):
 ])
 def test_monodromy_solutions_file_digest(tmp_path, argv, digest):
     # Captured while every reverse correspondence was still tracked: deriving
-    # them must not move a bit of the solutions found. The run gets a fresh
-    # interpreter with one BLAS thread, because OpenBLAS's LU returns other
-    # bits under other thread counts.
+    # them must not move a bit of the solutions found.
     sols_path = tmp_path / "sols.json"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
-    subprocess.run([sys.executable, "-m", "monogal.cli", "monodromy", *argv,
-                    "--out-solutions", str(sols_path)], env=env, check=True, capture_output=True)
+    run_cli_one_blas_thread("monodromy", *argv, "--out-solutions", str(sols_path))
     assert hashlib.sha256(sols_path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("target_count, solutions, blocks", [("1", 1, "none"), ("2", 6, "not transitive")])
+def test_monodromy_out_group_without_permutations_reads_back(capsys, tmp_path, target_count, solutions, blocks):
+    # These runs close no cycle; the script holds the identity on the fiber,
+    # so group reports what monodromy reported.
+    group_path = tmp_path / "group.txt"
+    code, out, _ = run_cli(capsys, "monodromy", "p3p", "--seed", "1", "--target-count", target_count,
+                           "--out-group", str(group_path))
+    assert code == 0
+    assert f"solutions: {solutions}" in out
+    assert group_path.read_text() == f"p0:= PermList([{', '.join(str(i + 1) for i in range(solutions))}]);\nG:=Group(p0);\n"
+    code, group_out, _ = run_cli(capsys, "group", str(group_path))
+    assert code == 0
+    for key in ("order", "even", "galois width"):
+        line = next(l for l in out.splitlines() if l.startswith(f"{key}: "))
+        assert line in group_out.splitlines()
+    assert f"blocks: {blocks}" in group_out.splitlines()
 
 
 def test_monodromy_stdout_is_deterministic(capsys):
@@ -275,6 +299,23 @@ def test_track_skips_invalid_start(capsys, tmp_path, p3p_track_files):
     assert code == 1
     assert "tracked: 8/9" in out
     assert "solutions: 8" in out
+
+
+def test_track_fivepoint_golden(tmp_path):
+    # Captured while the CLI doubled five-point endpoints through a special
+    # case for that problem name; doubling through the problem's declared
+    # deck map must not move a bit.
+    for name, seed in (("start.json", "1"), ("target.json", "2")):
+        out = run_cli_one_blas_thread("fabricate", "fivepoint", "--seed", seed)
+        (tmp_path / name).write_text(out[:out.rindex("residual:")])
+    out_path = tmp_path / "out.json"
+    out = run_cli_one_blas_thread("track", "fivepoint", str(tmp_path / "start.json"), str(tmp_path / "target.json"),
+                                  "--seed", "9", "--out", str(out_path))
+    assert out.startswith("tracked: 1/1\nsolutions: 2\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "57b2f55389951ea1bce4aae36fdad3e3c803f25e2e2300fb30b6cc74944a60b0"
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == \
+        "d10cddd579ef951b4fb59dbdf7f745a517ed842550922a4873d96c0f6a5caee4"
 
 
 def test_track_missing_file(capsys, tmp_path):
@@ -506,3 +547,31 @@ def test_monodromy_residuals_are_measured_on_the_original_system(capsys, tmp_pat
     original = cli.parse_system(src.read_text())
     z, sols, res = decode_solutions(sols_path.read_text())
     assert res == [residual(original, z, x) for x in sols]
+
+
+# ------------------------------------------------------------
+# parser: --seed where randomness is drawn, --verbose where it is read
+# ------------------------------------------------------------
+
+
+COMMAND_ARGS = {
+    "fabricate": ["p3p"],
+    "monodromy": ["p3p"],
+    "track": ["p3p", "a.json", "b.json"],
+    "group": ["x.g"],
+    "ransac-trials": ["--p-inlier", "0.5", "--s", "0.9"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+@pytest.mark.parametrize("flag, takers", [(["--seed", "3"], {"fabricate", "monodromy", "track"}),
+                                          (["--verbose"], {"monodromy"})])
+def test_seed_and_verbose_only_on_the_commands_that_read_them(capsys, command, flag, takers):
+    argv = [command, *COMMAND_ARGS[command], *flag]
+    if command in takers:
+        cli._parser().parse_args(argv)
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

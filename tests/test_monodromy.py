@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import io
 import json
 
 import numpy as np
@@ -20,7 +19,7 @@ from monogal.monodromy import (
     run,
 )
 from monogal.slp import RankDeficient, SystemBuilder
-from monogal.tracker import TrackerOptions, TrackResult, TrackStatus
+from monogal.tracker import TrackResult, TrackStatus
 
 
 def cubic_system():
@@ -60,7 +59,7 @@ def test_registry_assigns_stable_ids():
 
 
 def test_registry_tolerance_is_relative():
-    reg = SolutionRegistry(dedup_tolerance=1e-6)
+    reg = SolutionRegistry()
     reg.register(np.array([1e6 + 0j]))
     # Absolute gap 0.5 but relative ~5e-7: same solution.
     sid, is_new = reg.register(np.array([1e6 + 0.5 + 0j]))
@@ -293,7 +292,7 @@ def fake_track(endpoints):
     # vectors; None means a failed path.
     queue = list(endpoints)
 
-    def track(sys, seg, x, opts):
+    def track(sys, seg, x):
         x_end = queue.pop(0)
         if x_end is None:
             return TrackResult(TrackStatus.MinStepReached, np.asarray(x), 0, 0.0)
@@ -319,7 +318,7 @@ def test_audit_landing_on_another_id_counts_a_failure(monkeypatch):
     # Node 1's id 0 should return to node 0's id 0 but its audit lands on id
     # 1; id 1 is then tracked too (no derivation) and lands where it should.
     monkeypatch.setattr(monodromy, "track", fake_track([[other_root], [other_root]]))
-    paths, failures, new = monodromy._track_batch(graph, [0, 1], edge, False, TrackerOptions())
+    paths, failures, new = monodromy._track_batch(graph, [0, 1], edge, False)
     assert (paths, failures, new) == (2, 1, 0)
     assert edge.backward_map == {1: 1}
     assert edge.attempted_backward == {0, 1}
@@ -347,7 +346,7 @@ def test_failed_audit_passes_the_audit_to_the_next_candidate(monkeypatch):
     # Node 1's id 0 is not derivable and is tracked; id 1 is the first audit
     # and its path fails; id 2 becomes the audit and agrees.
     monkeypatch.setattr(monodromy, "track", fake_track([[roots[0]], None, [roots[2]]]))
-    paths, failures, new = monodromy._track_batch(graph, [0, 1, 2], edge, False, TrackerOptions())
+    paths, failures, new = monodromy._track_batch(graph, [0, 1, 2], edge, False)
     assert (paths, failures, new) == (3, 1, 0)
     assert edge.audited
     assert edge.backward_map == {0: 0, 2: 2}
@@ -510,13 +509,6 @@ def test_export_two_permutations_exact():
         "p1:= PermList([2, 1, 3]);\n"
         "G:=Group(p0, p1);"
     )
-
-
-def test_export_custom_name_and_sink():
-    sink = io.StringIO()
-    text = export_perm_script([Permutation([1, 0])], group_name="H", sink=sink)
-    assert text.endswith("H:=Group(p0);")
-    assert sink.getvalue() == text
 
 
 def test_export_mixed_degree():

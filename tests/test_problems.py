@@ -270,6 +270,12 @@ def test_twisted_pair_negates_essential_matrix():
     assert np.allclose(essential_matrix(twisted_pair(sol)), -essential_matrix(sol), atol=1e-10)
 
 
+def test_fivepoint_deck_map_is_the_twisted_pair_on_vectors():
+    _, sol = fivepoint_fabricate(np.random.default_rng(59))
+    twin = PROBLEMS["fivepoint"].deck_map(sol.as_vector())
+    assert np.array_equal(twin, twisted_pair(sol).as_vector())
+
+
 def test_twisted_pair_isotropic_translation():
     # t = (i, 0, 1) has t.t = 0.
     with pytest.raises(IsotropicTranslation):
@@ -332,10 +338,10 @@ def test_ransac_trials_validation():
 
 def test_problem_registry_contents():
     assert set(PROBLEMS) == {"p3p", "fivepoint"}
-    assert PROBLEMS["p3p"].solution_count == 8
-    assert PROBLEMS["fivepoint"].solution_count == 20
     assert PROBLEMS["p3p"].equivalencers == {}
     assert set(PROBLEMS["fivepoint"].equivalencers) == {"translation"}
+    assert PROBLEMS["p3p"].deck_map is None
+    assert PROBLEMS["fivepoint"].deck_map is not None
 
 
 def test_problem_registry_fabricate_vectors():

@@ -9,13 +9,11 @@ from monogal.slp import SystemBuilder, residual
 from monogal.tracker import (
     DegeneratePath,
     PathSegment,
-    TrackerOptions,
     TrackStatus,
     path_point,
     path_tangent,
     refine,
     track,
-    track_many,
 )
 
 
@@ -110,29 +108,6 @@ def test_straight_segment_is_linear():
 
 
 # ------------------------------------------------------------
-# options
-# ------------------------------------------------------------
-
-
-def test_tracker_options_validation():
-    TrackerOptions()  # defaults are legal
-    with pytest.raises(ValueError):
-        TrackerOptions(min_step=0.1, initial_step=0.05)
-    with pytest.raises(ValueError):
-        TrackerOptions(max_step=1.5)
-    with pytest.raises(ValueError):
-        TrackerOptions(step_increase_factor=0.9)
-    with pytest.raises(ValueError):
-        TrackerOptions(step_decrease_factor=1.1)
-    with pytest.raises(ValueError):
-        TrackerOptions(corrector_tolerance=0.0)
-    with pytest.raises(ValueError):
-        TrackerOptions(max_steps=0)
-    with pytest.raises(ValueError):
-        TrackerOptions(endpoint_refine_iters=-1)
-
-
-# ------------------------------------------------------------
 # track
 # ------------------------------------------------------------
 
@@ -202,11 +177,12 @@ def test_track_diverging_path_fails():
     )
 
 
-def test_track_max_steps():
+def test_track_max_steps(monkeypatch):
     sysm = quadratic_system()
     rng = np.random.default_rng(3)
     seg = PathSegment([1.0], [4.0], unit_gamma(rng), unit_gamma(rng))
-    result = track(sysm, seg, [1.0], TrackerOptions(max_steps=2, initial_step=0.01, max_step=0.01))
+    monkeypatch.setattr(tracker, "_MAX_STEPS", 2)
+    result = track(sysm, seg, [1.0])
     assert result.status is TrackStatus.MaxStepsReached
     assert result.steps_taken == 2
     assert result.t_reached < 1.0
@@ -219,7 +195,7 @@ def test_track_many_order_and_independence():
     roots = [2.0, 2.0 * np.exp(2j * np.pi / 3.0), 2.0 * np.exp(4j * np.pi / 3.0)]
     z1 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     seg = PathSegment(z0, z1, unit_gamma(rng), unit_gamma(rng))
-    results = track_many(sysm, seg, [[r] for r in roots])
+    results = [track(sysm, seg, [r]) for r in roots]
     assert len(results) == 3
     assert all(r.success for r in results)
     endpoints = [r.endpoint[0] for r in results]
@@ -237,9 +213,9 @@ def test_track_bitwise_equal_with_scipy_solve(monkeypatch, scipy_lu_solve):
     seg = PathSegment(inst.as_params(), target.as_params(), unit_gamma(rng), unit_gamma(rng))
     sysm = p3p_system()
     starts = [sol.as_vector() for sol in p3p_conic_solve(inst)]
-    shipped = track_many(sysm, seg, starts)
+    shipped = [track(sysm, seg, x) for x in starts]
     monkeypatch.setattr(tracker, "lu_solve", scipy_lu_solve)
-    reference = track_many(sysm, seg, starts)
+    reference = [track(sysm, seg, x) for x in starts]
     assert len(starts) == 8 and all(r.success for r in shipped)
     for got, want in zip(shipped, reference):
         assert got.status is want.status
