@@ -44,8 +44,10 @@ def _emit_node_line(lines: list[str], nid: int, node: tuple, pole_check: bool) -
         lines.append(f"    v{nid} = v{node[1]} * v{node[2]}")
     elif tag == "div":
         if pole_check:
+            # The zero test catches a NaN numerator, which fails the
+            # relative test.
             lines.append(
-                f"    if abs(v{node[2]}) < {_DIV_EPS!r} * (1.0 + abs(v{node[1]})): "
+                f"    if v{node[2]} == 0 or abs(v{node[2]}) < {_DIV_EPS!r} * (1.0 + abs(v{node[1]})): "
                 f"raise EvaluationSingular('denominator ~0 in node {nid}')"
             )
         lines.append(f"    v{nid} = v{node[1]} / v{node[2]}")

@@ -5,7 +5,8 @@ the perm-script text format). Each group carries one lazily, incrementally
 built deterministic stabilizer chain (base points, transversals, strong
 generators) that backs exact order computation, membership and the reduced
 generator list every analysis reads; block-action kernels come from a chain
-seeded with the cell positions.
+seeded with the cell positions. Transversals store inverse coset
+representatives, so sifting never inverts; `orbits` is the one orbit search.
 """
 
 from __future__ import annotations
@@ -82,13 +83,10 @@ class Permutation:
         # (p * q)(x) = q(p(x)): apply self first, then other.
         if other.degree != self.degree:
             raise ValueError("degree mismatch")
-        return Permutation(tuple(other.images[v] for v in self.images))
+        return Permutation(_mul(self.images, other.images))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for src, dst in enumerate(self.images):
-            inv[dst] = src
-        return Permutation(inv)
+        return Permutation(_inv(self.images))
 
     def is_identity(self) -> bool:
         return all(v == idx for idx, v in enumerate(self.images))
@@ -118,10 +116,11 @@ class Permutation:
         return f"Permutation({list(self.images)})"
 
 
-# Raw-tuple helpers used by the stabilizer chain (cheaper than objects).
+# Raw-tuple helpers: the one composition and the one inversion.
 
 
 def _mul(a: tuple, b: tuple) -> tuple:
+    # Apply a first, then b.
     return tuple(b[v] for v in a)
 
 
@@ -147,20 +146,26 @@ def _smallest_moved(a: tuple) -> int:
 class _Chain:
     """Base, per-level strong generators, per-level transversals.
 
-    Built incrementally: `add` sifts one element in and re-closes the chain,
-    so every level's strong generators generate the stabilizer of the base
-    points before it.
+    The one constructor: `_Chain(degree, base, gens)` seeds the base points
+    and adds the generators in order. Built incrementally: `add` sifts one
+    element in and re-closes the chain, so every level's strong generators
+    generate the stabilizer of the base points before it.
+
+    transversals[i] maps each point p of the orbit of base[i] to the inverse
+    of its coset representative, the element that sends p back to base[i].
     """
 
     __slots__ = ("degree", "base", "levels", "transversals")
 
-    def __init__(self, degree: int, base: Sequence[int] = ()):
+    def __init__(self, degree: int, base: Sequence[int] = (), gens: Iterable[tuple] = ()):
         ident = tuple(range(degree))
         self.degree = degree
         self.base = list(base)
         # levels[i]: strong generators fixing base[:i]
         self.levels: list[list[tuple]] = [[] for _ in self.base]
         self.transversals: list[dict[int, tuple]] = [{b: ident} for b in self.base]
+        for g in gens:
+            self.add(g)
 
     def order(self) -> int:
         n = 1
@@ -172,10 +177,10 @@ class _Chain:
         """Sifts g through levels >= lo; returns (residue, level reached)."""
         for lvl in range(lo, len(self.base)):
             p = g[self.base[lvl]]
-            rep = self.transversals[lvl].get(p)
-            if rep is None:
+            back = self.transversals[lvl].get(p)
+            if back is None:
                 return g, lvl
-            g = _mul(g, _inv(rep))
+            g = _mul(g, back)
         return g, len(self.base)
 
     def contains(self, g: tuple) -> bool:
@@ -216,10 +221,11 @@ class _Chain:
 
     def _schreier_residue(self, i: int) -> tuple[tuple, int] | None:
         ident = tuple(range(self.degree))
-        for p in sorted(self.transversals[i]):
-            up = self.transversals[i][p]
+        trans = self.transversals[i]
+        for p in sorted(trans):
+            up = _inv(trans[p])
             for g in self.levels[i]:
-                sch = _mul(_mul(up, g), _inv(self.transversals[i][g[p]]))
+                sch = _mul(_mul(up, g), trans[g[p]])
                 if sch != ident:
                     residue, j = self.strip(sch, i + 1)
                     if residue != ident:
@@ -228,26 +234,19 @@ class _Chain:
 
 
 def _orbit_transversal(gens: list[tuple], beta: int, degree: int) -> dict[int, tuple]:
-    ident = tuple(range(degree))
-    trans = {beta: ident}
+    # Breadth-first over the orbit of beta. The representative of q = g[p]
+    # is rep[p] * g, so the stored inverse is g^-1 * back[p].
+    back = {beta: tuple(range(degree))}
     queue = [beta]
+    moves = [(g, _inv(g)) for g in gens]
     while queue:
         p = queue.pop(0)
-        up = trans[p]
-        for g in gens:
+        for g, ginv in moves:
             q = g[p]
-            if q not in trans:
-                trans[q] = _mul(up, g)
+            if q not in back:
+                back[q] = _mul(ginv, back[p])
                 queue.append(q)
-    return trans
-
-
-def _schreier_sims(degree: int, gens: Iterable[tuple], seed_base: Sequence[int] = ()) -> _Chain:
-    """Deterministic Schreier-Sims; optional pre-seeded base points."""
-    chain = _Chain(degree, seed_base)
-    for g in gens:
-        chain.add(g)
-    return chain
+    return back
 
 
 # ============================================================
@@ -346,8 +345,9 @@ class BlockSystem:
 
 
 def _check_transitive(group: PermGroup) -> None:
-    if group.degree > 1 and len(orbits(group)) != 1:
-        raise NotTransitive(f"group has {len(orbits(group))} orbits")
+    count = len(orbits(group))
+    if count > 1:
+        raise NotTransitive(f"group has {count} orbits")
 
 
 def minimal_blocks(group: PermGroup, pair: tuple[int, int]) -> BlockSystem | None:
@@ -403,16 +403,15 @@ def minimal_blocks(group: PermGroup, pair: tuple[int, int]) -> BlockSystem | Non
 def minimal_nontrivial_blocks(group: PermGroup) -> BlockSystem | None:
     """Scans pairs (0, j); returns a minimal nontrivial block system if any.
 
-    When several exist, picks the one whose lexicographically smallest cell
-    is smallest (deterministic). Returns None for a primitive group.
+    Each pair's system has the smallest block holding 0 and j. The candidate
+    with the smallest blocks holds the smallest nontrivial block containing
+    0, so no nontrivial block system strictly refines it; ties go to the
+    lexicographically smallest first cell (deterministic). Returns None for
+    a primitive group.
     """
     _check_transitive(group)
-    best: BlockSystem | None = None
-    for j in range(1, group.degree):
-        system = minimal_blocks(group, (0, j))
-        if system is not None and (best is None or system.cells[0] < best.cells[0]):
-            best = system
-    return best
+    systems = [minimal_blocks(group, (0, j)) for j in range(1, group.degree)]
+    return min((s for s in systems if s is not None), key=lambda s: (s.block_size, s.cells[0]), default=None)
 
 
 def block_action(group: PermGroup, blocks: BlockSystem) -> tuple[PermGroup, PermGroup]:
@@ -450,7 +449,7 @@ def block_action(group: PermGroup, blocks: BlockSystem) -> tuple[PermGroup, Perm
         image_gens.append(Permutation(cell_img))
         pair_gens.append(tuple(cell_img) + tuple(k + g(p) for p in range(d)))
 
-    chain = _schreier_sims(k + d, pair_gens, seed_base=range(k))
+    chain = _Chain(k + d, range(k), pair_gens)
     kernel_gens = []
     seen = set()
     for g in chain.levels[k] if len(chain.levels) > k else []:
@@ -465,27 +464,15 @@ def block_action(group: PermGroup, blocks: BlockSystem) -> tuple[PermGroup, Perm
 
 def is_natural_sym_or_alt(group: PermGroup) -> tuple[str, int] | None:
     """("Sym", n) or ("Alt", n) when the group is the full symmetric or
-    alternating group on its n-point support; None otherwise."""
-    gens = group.reduced_generators()
-    support = sorted({p for g in gens for p in g.moved_points()})
-    n = len(support)
-    if n < 2:
+    alternating group on its n-point support, a single orbit; None otherwise."""
+    moving = [orbit for orbit in orbits(group) if len(orbit) > 1]
+    if len(moving) != 1:
         return None
-    reached = {support[0]}
-    queue = [support[0]]
-    while queue:
-        p = queue.pop()
-        for g in gens:
-            q = g(p)
-            if q not in reached:
-                reached.add(q)
-                queue.append(q)
-    if reached != set(support):
-        return None
+    n = len(moving[0])
     size = group.order()
     if size == math.factorial(n):
         return ("Sym", n)
-    if size * 2 == math.factorial(n) and all(g.is_even() for g in gens):
+    if size * 2 == math.factorial(n) and all(g.is_even() for g in group.reduced_generators()):
         return ("Alt", n)
     return None
 

@@ -18,6 +18,8 @@ parent's outputs.
 
 from __future__ import annotations
 
+import cmath
+import math
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -557,8 +559,10 @@ def compress(sys: GateSystem) -> GateSystem:
     """Removes superfluous operations from the DAG.
 
     Applies constant folding, identity elimination (x+0, x*1, x*0, x^1, x^0),
-    and common-subexpression sharing. The result evaluates identically up to
-    rounding, and its reachable node count never exceeds the original's.
+    and common-subexpression sharing. Where the original evaluates to a
+    finite value the result agrees with it up to rounding (eliminating x*1,
+    x*0 or x-x can drop a NaN that an infinite x would have produced), and
+    its reachable node count never exceeds the original's.
     Division nodes whose folded denominator would be (nearly) zero are kept
     so the evaluation-time error is preserved.
     """
@@ -853,6 +857,8 @@ def parse_system(text: str) -> GateSystem:
 
 
 def _fmt_real(v: float) -> str:
+    if math.isinf(v):
+        return "1e400" if v > 0 else "-1e400"  # overflows back to +-inf
     if v == int(v) and abs(v) < 1e16 and "e" not in repr(v):
         return str(int(v)) + ".0"
     return repr(v)
@@ -860,6 +866,10 @@ def _fmt_real(v: float) -> str:
 
 def _fmt_const(value: complex) -> tuple[str, int]:
     re, im = value.real, value.imag
+    # The grammar has no NaN, and c*i with infinite c evaluates to a NaN
+    # real part, so neither can be written.
+    if cmath.isnan(value) or math.isinf(im):
+        raise ValueError(f"constant {value!r} has no source form")
     if im == 0.0:
         if re < 0:
             return f"-{_fmt_real(-re)}", 4
@@ -881,7 +891,12 @@ def to_source(sys: GateSystem) -> str:
 
     parse_system(to_source(sys)) evaluates identically to sys (the DAG shape
     of each output expression is preserved; shared nodes are duplicated in
-    the text).
+    the text). An infinite constant prints as 1e400 or -1e400, which parse
+    back to it.
+
+    Raises:
+        ValueError: a constant with a NaN or an infinite imaginary part,
+            which the grammar cannot write.
     """
     nodes = sys.nodes
 

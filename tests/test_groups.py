@@ -236,6 +236,16 @@ def test_minimal_nontrivial_blocks():
         minimal_nontrivial_blocks(PermGroup(4, [Permutation([1, 0, 2, 3])]))
 
 
+def test_minimal_nontrivial_blocks_prefers_the_finer_system():
+    # Nested systems: the blocks {0,1,2,3} | {4,5,6,7} are unions of the
+    # blocks {0,3} | {1,2} | {4,7} | {5,6}, and (0,1) has a smaller first
+    # cell than (0,3), so ranking by the first cell alone picked the coarse one.
+    g = PermGroup(8, [cycle(8, [0, 3]), Permutation([1, 0, 3, 2, 5, 4, 7, 6]),
+                      Permutation([4, 5, 6, 7, 0, 1, 2, 3])])
+    assert g.order() == 64 and len(orbits(g)) == 1
+    assert minimal_nontrivial_blocks(g).cells == ((0, 3), (1, 2), (4, 7), (5, 6))
+
+
 def test_block_system_validation():
     with pytest.raises(ValueError):
         BlockSystem(((0, 1), (2,)))  # unequal sizes

@@ -100,6 +100,15 @@ def test_division_pole_raises():
     assert np.isfinite(evaluate(sysm, [3.0], [2.0])).all()
 
 
+def test_division_pole_raises_for_a_nan_numerator():
+    # inf - inf is NaN, and a NaN numerator fails the relative pole test.
+    b = SystemBuilder(parameters=("z",), unknowns=("x",))
+    inf = b.const(1e400)
+    sysm = b.finish([(inf - inf) / (b.param("z") - 1.0)])
+    with pytest.raises(EvaluationSingular):
+        evaluate(sysm, [1.0], [2.0])
+
+
 def test_pow_rejects_bad_exponents():
     b = SystemBuilder(parameters=("z",), unknowns=("x",))
     x = b.unknown("x")
@@ -337,6 +346,21 @@ def test_printer_handles_complex_constants():
     again = parse_system(to_source(sysm))
     pt = np.array([0.3 + 0.7j])
     assert np.allclose(evaluate(again, [0.0], pt), evaluate(sysm, [0.0], pt))
+
+
+def test_printer_writes_infinite_constants_and_rejects_nan():
+    sysm = parse_system("params a; unknowns x; eqs x - 1e400*a; x + -1e400;")
+    text = to_source(sysm)
+    assert "1e400 * a" in text and "-1e400" in text
+    again = parse_system(text)
+    assert again.nodes == sysm.nodes
+    # compress folds 1e400 - 1e400 to NaN, which the grammar cannot write.
+    nan = compress(parse_system("params a; unknowns x; eqs x + (1e400 - 1e400);"))
+    with pytest.raises(ValueError, match="nan"):
+        to_source(nan)
+    b = SystemBuilder(parameters=("a",), unknowns=("x",))
+    with pytest.raises(ValueError, match="inf"):
+        to_source(b.finish([b.unknown("x") * complex(0.0, float("inf"))]))
 
 
 def test_gate_system_validation():
