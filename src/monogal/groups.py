@@ -4,14 +4,17 @@ Permutations act on solution indices, 0-based internally (1-based only in
 the perm-script text format). Each group carries one lazily, incrementally
 built deterministic stabilizer chain (base points, transversals, strong
 generators) that backs exact order computation, membership and the reduced
-generator list every analysis reads; block-action kernels come from a chain
-seeded with the cell positions. Transversals store inverse coset
-representatives, so sifting never inverts; `orbits` is the one orbit search.
+generator list every analysis reads. Block-action kernels come from a chain
+of the action on cells and points, grown from random elements of the
+group's own chain until its order reaches |G|. Transversals store inverse
+coset representatives, so sifting never inverts; `orbits` is the one orbit
+search.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -146,10 +149,11 @@ def _smallest_moved(a: tuple) -> int:
 class _Chain:
     """Base, per-level strong generators, per-level transversals.
 
-    The one constructor: `_Chain(degree, base, gens)` seeds the base points
-    and adds the generators in order. Built incrementally: `add` sifts one
-    element in and re-closes the chain, so every level's strong generators
-    generate the stabilizer of the base points before it.
+    The one constructor: `_Chain(degree, base)` seeds the base points.
+    Built incrementally: `add` sifts one element in and re-closes the chain,
+    so every level's strong generators generate the stabilizer of the base
+    points before it. A caller that knows the group's order may instead
+    pass residues to `_extend` alone until `order()` reaches it.
 
     transversals[i] maps each point p of the orbit of base[i] to the inverse
     of its coset representative, the element that sends p back to base[i].
@@ -157,15 +161,13 @@ class _Chain:
 
     __slots__ = ("degree", "base", "levels", "transversals")
 
-    def __init__(self, degree: int, base: Sequence[int] = (), gens: Iterable[tuple] = ()):
+    def __init__(self, degree: int, base: Sequence[int] = ()):
         ident = tuple(range(degree))
         self.degree = degree
         self.base = list(base)
         # levels[i]: strong generators fixing base[:i]
         self.levels: list[list[tuple]] = [[] for _ in self.base]
         self.transversals: list[dict[int, tuple]] = [{b: ident} for b in self.base]
-        for g in gens:
-            self.add(g)
 
     def order(self) -> int:
         n = 1
@@ -365,6 +367,12 @@ def minimal_blocks(group: PermGroup, pair: tuple[int, int]) -> BlockSystem | Non
     d = group.degree
     if not (0 <= a < d and 0 <= b < d) or a == b:
         raise ValueError(f"bad point pair {pair}")
+    return _co_celled([g.images for g in group.reduced_generators()], d, a, b)
+
+
+def _co_celled(gens: list[tuple], d: int, a: int, b: int) -> BlockSystem | None:
+    # The union-find closure behind minimal_blocks, for a transitive group
+    # given by its generator images.
     parent = list(range(d))
 
     def find(x: int) -> int:
@@ -382,7 +390,6 @@ def minimal_blocks(group: PermGroup, pair: tuple[int, int]) -> BlockSystem | Non
         parent[ry] = rx
         return ry  # the absorbed representative
 
-    gens = [g.images for g in group.reduced_generators()]
     queue = [union(a, b)]
     while queue:
         c = queue.pop()
@@ -408,20 +415,32 @@ def minimal_nontrivial_blocks(group: PermGroup) -> BlockSystem | None:
     0, so no nontrivial block system strictly refines it; ties go to the
     lexicographically smallest first cell (deterministic). Returns None for
     a primitive group.
+
+    Raises:
+        NotTransitive: the group is not transitive.
     """
     _check_transitive(group)
-    systems = [minimal_blocks(group, (0, j)) for j in range(1, group.degree)]
+    gens = [g.images for g in group.reduced_generators()]
+    systems = [_co_celled(gens, group.degree, 0, j) for j in range(1, group.degree)]
     return min((s for s in systems if s is not None), key=lambda s: (s.block_size, s.cells[0]), default=None)
 
 
 def block_action(group: PermGroup, blocks: BlockSystem) -> tuple[PermGroup, PermGroup]:
     """Induced action on cells plus its kernel on points.
 
-    Each generator is paired with its induced cell permutation on a combined
-    domain (cells first, then points) and a stabilizer chain is built with
-    every cell position seeded into the base. Strong generators below the
-    cell levels act trivially on every cell, so their point parts generate
-    the kernel. |image| * |kernel| = |G|.
+    The image is generated by the cell permutations the generators induce.
+    For the kernel, G acts faithfully on a combined domain, cells first and
+    then points, and a stabilizer chain of that action is grown with every
+    cell position in its base: random elements of G, each a product of one
+    transversal entry per level of G's own chain (drawn from a generator
+    seeded inside the call, so every call returns the same lists), are
+    sifted in, and each nontrivial residue joins the levels it fixes the
+    base of. Every added element lies in G, so each level's group lies in
+    the previous level's point stabilizer and the transversal sizes multiply
+    to at most |G|; once they reach |G| the chain is a complete base and
+    strong generating set. Its strong generators below the cell levels act
+    trivially on every cell, so their point parts generate the kernel, and
+    |image| * |kernel| = |G|.
 
     Raises:
         InvalidBlocks: the partition is not preserved by some generator.
@@ -436,7 +455,6 @@ def block_action(group: PermGroup, blocks: BlockSystem) -> tuple[PermGroup, Perm
             cell_of[p] = idx
 
     image_gens = []
-    pair_gens = []
     for g in group.reduced_generators():
         cell_img = [-1] * k
         for idx, cell in enumerate(blocks.cells):
@@ -447,9 +465,24 @@ def block_action(group: PermGroup, blocks: BlockSystem) -> tuple[PermGroup, Perm
         if sorted(cell_img) != list(range(k)):
             raise InvalidBlocks("induced cell map is not a bijection")
         image_gens.append(Permutation(cell_img))
-        pair_gens.append(tuple(cell_img) + tuple(k + g(p) for p in range(d)))
 
-    chain = _Chain(k + d, range(k), pair_gens)
+    # Every element of G preserves the cells, so one point per cell gives
+    # its cell permutation.
+    firsts = [cell[0] for cell in blocks.cells]
+    entries = [list(t.values()) for t in group._ensure_chain().transversals]
+    rng = random.Random(0)
+    size = group.order()
+    ident = tuple(range(k + d))
+    chain = _Chain(k + d, range(k))
+    while chain.order() < size:
+        g = tuple(range(d))
+        for choices in entries:
+            g = _mul(g, rng.choice(choices))
+        pair = tuple(cell_of[g[p]] for p in firsts) + tuple(k + v for v in g)
+        residue, j = chain.strip(pair)
+        if residue != ident:
+            chain._extend(residue, 0, j)
+
     kernel_gens = []
     seen = set()
     for g in chain.levels[k] if len(chain.levels) > k else []:
@@ -545,9 +578,17 @@ def galois_width(group: PermGroup) -> int:
     """Minimax of subgroup indices over unrefinable subgroup chains.
 
     Recursion: trivial group -> 1; intransitive -> max over orbit images;
-    natural Sym(n)/Alt(n) -> n, except 3 when n = 4; solvable -> largest
-    prime factor of the order; transitive imprimitive -> max of the widths
-    of the kernel and image of a minimal nontrivial block action.
+    natural Sym(n)/Alt(n) -> n, except 3 when n = 4; transitive imprimitive
+    -> max of the widths of the kernel and image of a minimal nontrivial
+    block action; primitive solvable -> largest prime factor of the order.
+
+    Solvability is tested only at primitive groups, yet every solvable group
+    still gets the largest prime factor of its order: by induction, since
+    |G| = |kernel| * |image| for a block action, and G embeds in the product
+    of its orbit restrictions, each a quotient of G, the block and orbit
+    steps return the largest prime factor of |G|. The natural groups that
+    are solvable, S2, S3, A3, S4 and A4, get 2, 3, 3, 3 and 3, which is the
+    largest prime factor of their orders too.
 
     Raises:
         UnsupportedGroup: primitive non-solvable group that is not a natural
@@ -563,12 +604,12 @@ def galois_width(group: PermGroup) -> int:
     if natural is not None:
         n = natural[1]
         return 3 if n == 4 else n
-    if is_solvable(group):
-        return _largest_prime_factor(size, group.degree)
     blocks = minimal_nontrivial_blocks(group)
     if blocks is not None:
         image, kernel = block_action(group, blocks)
         return max(galois_width(kernel), galois_width(image))
+    if is_solvable(group):
+        return _largest_prime_factor(size, group.degree)
     raise UnsupportedGroup(size, group.degree)
 
 

@@ -424,6 +424,23 @@ def test_group_unreadable_script(capsys, tmp_path):
     assert "cannot parse" in err
 
 
+# Four perm scripts in the shapes of the benchmark's `groups` workload:
+# random even elements of C2 wr S10 (five-point) and C2 wr S4 (P3P) with
+# relabelled points, two of them generating proper subgroups (order 1843200,
+# and an intransitive order 48). The recorded stdout pins every line the
+# group analysis prints, whatever chain or recursion order computes it.
+DATA = Path(__file__).resolve().parent / "data"
+GROUP_GOLDEN = json.loads((DATA / "group_stdout.json").read_text())
+
+
+@pytest.mark.parametrize("flag", ["", "--order", "--blocks", "--even", "--width"])
+@pytest.mark.parametrize("script", sorted(GROUP_GOLDEN))
+def test_group_stdout_matches_golden(capsys, script, flag):
+    code, out, _ = run_cli(capsys, "group", str(DATA / script), *([flag] if flag else []))
+    assert code == 0
+    assert out == GROUP_GOLDEN[script][flag]
+
+
 # ------------------------------------------------------------
 # ransac-trials
 # ------------------------------------------------------------

@@ -6,10 +6,12 @@ from __future__ import annotations
 import operator
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from monogal.groups import (
+    BlockSystem,
     NotTransitive,
     PermGroup,
     Permutation,
@@ -22,6 +24,7 @@ from monogal.groups import (
     orbits,
     parse_perm_script,
 )
+from monogal.groups import _largest_prime_factor
 from monogal.monodromy import export_perm_script
 from monogal.slp import EvaluationSingular, SystemBuilder, compress, evaluate, parse_system, to_source
 
@@ -67,21 +70,30 @@ def test_perm_script_round_trips(case):
 
 
 @st.composite
-def block_preserving_sets(draw):
-    """Up to four permutations of 4 or 6 points that permute the cells of
-    one partition into equal cells, so the group is often imprimitive."""
-    degree = draw(st.sampled_from([4, 6]))
-    size = draw(st.sampled_from([b for b in (2, 3) if degree % b == 0]))
+def blocked_groups(draw):
+    """Up to four permutations of 4, 6 or 8 points that permute the cells of
+    one partition into equal cells, with the points relabelled, so the
+    group is often imprimitive; returns the degree, the permutations and
+    the partition."""
+    degree = draw(st.sampled_from([4, 6, 8]))
+    size = draw(st.sampled_from([b for b in (2, 3, 4) if degree % b == 0 and b < degree]))
     cells = degree // size
+    relabel = draw(st.permutations(range(degree)))
     gens = []
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
         sigma = draw(st.permutations(range(cells)))
-        images = []
+        images = [0] * degree
         for c in range(cells):
             tau = draw(st.permutations(range(size)))
-            images += [sigma[c] * size + t for t in tau]
+            for t in range(size):
+                images[relabel[c * size + t]] = relabel[sigma[c] * size + tau[t]]
         gens.append(Permutation(images))
-    return degree, gens
+    partition = sorted(tuple(sorted(relabel[c * size + t] for t in range(size))) for c in range(cells))
+    return degree, gens, BlockSystem(tuple(partition))
+
+
+def block_preserving_sets():
+    return blocked_groups().map(lambda case: case[:2])
 
 
 @st.composite
@@ -180,6 +192,47 @@ def test_minimal_nontrivial_blocks_has_no_finer_invariant_partition(gens):
         return
     assert blocks.cells in invariant
     assert not any(cells != blocks.cells and _refines(cells, blocks.cells) for cells in invariant)
+
+
+@settings(max_examples=100, deadline=None)
+@given(blocked_groups())
+def test_block_action_matches_brute_force(case):
+    degree, gens, blocks = case
+    image, kernel = block_action(PermGroup(degree, gens), blocks)
+    elements = closure(degree, gens)
+    cell_of = {p: i for i, cell in enumerate(blocks.cells) for p in cell}
+
+    def on_cells(g):
+        return Permutation([cell_of[g(cell[0])] for cell in blocks.cells])
+
+    identity = Permutation.identity(blocks.num_cells)
+    assert closure(degree, kernel.generators) == {g for g in elements if on_cells(g) == identity}
+    assert closure(blocks.num_cells, image.generators) == {on_cells(g) for g in elements}
+    again = block_action(PermGroup(degree, gens), blocks)
+    assert [g.generators for g in again] == [image.generators, kernel.generators]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(generator_sets(max_degree=8), block_preserving_sets(),
+                 nested_block_sets().map(lambda gens: (8, gens))))
+def test_width_of_a_solvable_group_is_its_largest_prime_factor(case):
+    # The width recursion tests solvability only at primitive groups; every
+    # solvable group must still get the largest prime factor of its order.
+    degree, gens = case
+    group = PermGroup(degree, gens)
+    assume(is_solvable(group))
+    assert galois_width(group) == _largest_prime_factor(group.order(), degree)
+
+
+def test_width_still_rejects_a_primitive_non_solvable_piece():
+    # PSL(2,5) on the projective line over F5, alone and as the block image
+    # of PSL(2,5) x C2 on 12 points (cells {p, p + 6}).
+    psl = [[1, 2, 3, 4, 0, 5], [5, 4, 2, 3, 1, 0]]
+    doubled = [g + [v + 6 for v in g] for g in psl] + [list(range(6, 12)) + list(range(6))]
+    for degree, gens in ((6, psl), (12, doubled)):
+        with pytest.raises(UnsupportedGroup) as info:
+            galois_width(PermGroup(degree, [Permutation(g) for g in gens]))
+        assert (info.value.order, info.value.degree) == (60, 6)
 
 
 LEAVES = ("a", "b", "x", "y", 0.0, 1.0, -2.5, 1j, 0.5 - 2j, 1e400)
