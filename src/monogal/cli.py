@@ -3,9 +3,8 @@
 Commands: fabricate, monodromy, track, group, ransac-trials. The commands
 that draw random numbers (fabricate, monodromy, track) take --seed, and all
 their randomness flows from one generator seeded by it, so identical seeds
-and flags reproduce identical bytes on stdout. Written files are identical
-too when the BLAS runs one thread; with more threads the last bits of the
-linear solves, and so of the written solutions, may differ.
+and flags reproduce identical bytes on stdout and in written files, at any
+BLAS thread count for systems of up to 96 unknowns (see monogal.linalg).
 
 Exit codes: 0 success, 1 path failures in track, 2 bad input (unknown
 problem, parse error, unreadable or mis-shaped solutions JSON, invalid
@@ -26,6 +25,7 @@ from . import groups as groupmod
 from .monodromy import (
     MonodromyResult,
     RunOptions,
+    SolutionRegistry,
     TrackFailureRate,
     build_graph,
     decode_solutions,
@@ -253,13 +253,16 @@ def cmd_track(args) -> int:
         return EXIT_BAD_INPUT
 
     full = sysm
-    valid = [x for x in starts if residual(sysm, z_start, x) <= 1e-6 * (1.0 + float(np.abs(x).max()))]
     if sysm.num_outputs > sysm.num_unknowns:
-        if not valid:
+        # Square up at the first start that solves the full system to
+        # track's bar (absolute residual 1e-6); track itself checks each
+        # start against the squared-up system.
+        x_square = next((x for x in starts if residual(sysm, z_start, x) <= 1e-6), None)
+        if x_square is None:
             _err("no start solution satisfies the system; cannot square up")
             return EXIT_PATH_FAILURES
         try:
-            sysm = square_up(sysm, z_start, valid[0], rng)
+            sysm = square_up(sysm, z_start, x_square, rng)
         except RankDeficient as exc:
             _err(f"rank failure: {exc}")
             return EXIT_RANK
@@ -269,10 +272,12 @@ def cmd_track(args) -> int:
     endpoints = []
     failures = 0
     for x in starts:
-        if residual(sysm, z_start, x) > 1e-6 * (1.0 + float(np.abs(x).max())):
+        try:
+            result = track(sysm, seg, x)
+        except ValueError:
+            # Not a solution at the segment start: a failed start.
             failures += 1
             continue
-        result = track(sysm, seg, x)
         if result.success:
             endpoints.append(result.endpoint)
         else:
@@ -281,8 +286,13 @@ def cmd_track(args) -> int:
     if problem is not None and problem.deck_map is not None:
         doubled = endpoints + [problem.deck_map(x) for x in endpoints]
         # Polish against the full system: the deck map amplifies the tiny
-        # coordinate error the tracker leaves behind.
-        endpoints = [refine(full, z_target, x, iters=3).x for x in doubled]
+        # coordinate error the tracker leaves behind. A start file holding
+        # both members of a deck pair yields each endpoint twice; keep the
+        # first of each.
+        registry = SolutionRegistry()
+        for x in doubled:
+            registry.register(refine(full, z_target, x, iters=3).x)
+        endpoints = registry.vectors()
 
     res_list = _residuals(full, z_target, endpoints)
     print(f"tracked: {len(starts) - failures}/{len(starts)}")

@@ -521,7 +521,8 @@ def ransac_trials(n: int, k: int, p_inlier: float, s: float) -> int:
     P = math.comb(m, k) / math.comb(n, k)
     if P >= 1.0:
         return 1
-    return math.ceil(math.log(1.0 - s) / math.log(1.0 - P))
+    # log1p keeps log(1-P) accurate for tiny P, where 1-P rounds to 1.
+    return math.ceil(math.log1p(-s) / math.log1p(-P))
 
 
 # ============================================================

@@ -14,7 +14,8 @@ growing the step by 1.5 after an accepted step and halving it after a
 rejected one. Endpoints are polished by a few extra Newton steps. Step
 sizes, tolerances and budgets are fixed module constants, not options.
 Tracking is deterministic: identical inputs produce identical results bit
-for bit at a fixed BLAS thread count.
+for bit, at any BLAS thread count for systems of up to 96 unknowns (see
+monogal.linalg).
 """
 
 from __future__ import annotations

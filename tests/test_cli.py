@@ -2,19 +2,24 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import run_python
 from monogal import cli
 from monogal.cli import main
 from monogal.groups import parse_perm_script
 from monogal.monodromy import TrackFailureRate, decode_solutions, encode_solutions
-from monogal.problems import p3p_conic_solve, p3p_fabricate, p3p_system
+from monogal.problems import (
+    fivepoint_fabricate,
+    p3p_conic_solve,
+    p3p_fabricate,
+    p3p_system,
+    ransac_trials,
+    twisted_pair,
+)
 from monogal.slp import residual
 
 
@@ -24,17 +29,10 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
-
-
-def run_cli_one_blas_thread(*argv) -> str:
-    # A fresh interpreter with one BLAS thread, because OpenBLAS's LU returns
-    # other bits under other thread counts. Returns stdout.
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
-    return subprocess.run([sys.executable, "-m", "monogal.cli", *argv],
-                          env=env, check=True, capture_output=True, text=True).stdout
+def run_cli_blas_threads(threads, *argv) -> str:
+    # A fresh interpreter with the given number of BLAS threads, so tests can
+    # show that written files do not depend on it. Returns stdout.
+    return run_python(threads, "-m", "monogal.cli", *argv)
 
 
 CUBIC_SOURCE = "params z1, z2; unknowns x; eqs x^3 + z1*x + z2;"
@@ -146,19 +144,38 @@ def test_monodromy_p3p_no_early_stop_at_six_solutions(capsys, seed):
     assert "order: 192" in out
 
 
-@pytest.mark.parametrize("argv, digest", [
+SOLUTIONS_FILE_DIGESTS = [
     (["p3p", "--seed", "1"], "52e40c9db3d21f969b00195f7e11f58bd8e16d5d3d43ce8316bdbc4b5ca47e00"),
     (["p3p", "--seed", "2"], "ce9132aabc0ec9037244541b94cc025ef0f8d6d901c5307b532c8a97431279dd"),
     (["p3p", "--seed", "3"], "11611c8ba3d99fe0d6d9f0f27d8f83c3b5365e4c6d608b0584feb88d7f318738"),
     (["fivepoint", "--seed", "1", "--equivalencer", "translation"],
      "98f03518da0eab73fdb3018b060a2dd1e2ffd5876bf4b9899d45e9bffcf11179"),
+]
+
+
+# The one-thread cases keep the ids they had before the thread count became
+# a parameter.
+@pytest.mark.parametrize("argv, digest, threads", [
+    pytest.param(argv, digest, threads, id=f"argv{i}-{digest}" + ("" if threads == 1 else f"-{threads}threads"))
+    for threads in (1, 2) for i, (argv, digest) in enumerate(SOLUTIONS_FILE_DIGESTS)
 ])
-def test_monodromy_solutions_file_digest(tmp_path, argv, digest):
+def test_monodromy_solutions_file_digest(tmp_path, argv, digest, threads):
     # Captured while every reverse correspondence was still tracked: deriving
-    # them must not move a bit of the solutions found.
+    # them must not move a bit of the solutions found. The bits are the same
+    # at any BLAS thread count.
     sols_path = tmp_path / "sols.json"
-    run_cli_one_blas_thread("monodromy", *argv, "--out-solutions", str(sols_path))
+    run_cli_blas_threads(threads, "monodromy", *argv, "--out-solutions", str(sols_path))
     assert hashlib.sha256(sols_path.read_bytes()).hexdigest() == digest
+
+
+def test_monodromy_runs_without_scipy():
+    # scipy is a test dependency only: the package must run with it blocked.
+    out = run_python(1, "-c", (
+        "import sys; sys.modules['scipy'] = None\n"
+        "import monogal.cli\n"
+        "sys.exit(monogal.cli.main(['monodromy', 'p3p', '--seed', '1']))"
+    ))
+    assert "order: 192\n" in out
 
 
 @pytest.mark.parametrize("target_count, solutions, blocks", [("1", 1, "none"), ("2", 6, "not transitive")])
@@ -301,21 +318,50 @@ def test_track_skips_invalid_start(capsys, tmp_path, p3p_track_files):
     assert "solutions: 8" in out
 
 
-def test_track_fivepoint_golden(tmp_path):
+@pytest.mark.parametrize("threads", [1, 2])
+def test_track_fivepoint_golden(tmp_path, threads):
     # Captured while the CLI doubled five-point endpoints through a special
     # case for that problem name; doubling through the problem's declared
-    # deck map must not move a bit.
+    # deck map must not move a bit, and neither may the BLAS thread count.
     for name, seed in (("start.json", "1"), ("target.json", "2")):
-        out = run_cli_one_blas_thread("fabricate", "fivepoint", "--seed", seed)
+        out = run_cli_blas_threads(threads, "fabricate", "fivepoint", "--seed", seed)
         (tmp_path / name).write_text(out[:out.rindex("residual:")])
     out_path = tmp_path / "out.json"
-    out = run_cli_one_blas_thread("track", "fivepoint", str(tmp_path / "start.json"), str(tmp_path / "target.json"),
-                                  "--seed", "9", "--out", str(out_path))
+    out = run_cli_blas_threads(threads, "track", "fivepoint", str(tmp_path / "start.json"),
+                               str(tmp_path / "target.json"), "--seed", "9", "--out", str(out_path))
     assert out.startswith("tracked: 1/1\nsolutions: 2\n")
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "57b2f55389951ea1bce4aae36fdad3e3c803f25e2e2300fb30b6cc74944a60b0"
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == \
         "d10cddd579ef951b4fb59dbdf7f745a517ed842550922a4873d96c0f6a5caee4"
+
+
+def test_track_deck_pair_in_start_file_is_not_duplicated(capsys, tmp_path):
+    # x and its twisted pair both track, and doubling each through the deck
+    # map gives the other again: two solutions, not four.
+    rng = np.random.default_rng(1)
+    inst, sol = fivepoint_fabricate(rng)
+    target, _ = fivepoint_fabricate(rng)
+    pair = [sol.as_vector(), twisted_pair(sol).as_vector()]
+    sf, tf = tmp_path / "start.json", tmp_path / "target.json"
+    sf.write_text(json.dumps(encode_solutions(inst.as_params(), pair, [0.0, 0.0])))
+    tf.write_text(json.dumps(encode_solutions(target.as_params(), [], [])))
+    code, out, _ = run_cli(capsys, "track", "fivepoint", str(sf), str(tf), "--seed", "9")
+    assert code == 0
+    assert out.startswith("tracked: 2/2\nsolutions: 2\n")
+
+
+def test_track_start_rejected_by_tracker_is_a_failed_start(capsys, tmp_path):
+    # Residual 1e-5: under the old relative screen, 1e-6 * (1 + 1000), but
+    # over track's absolute 1e-6, which raised a ValueError traceback.
+    src = tmp_path / "sqrt.txt"
+    src.write_text("params a; unknowns x; eqs x^2 - a;")
+    sf, tf = tmp_path / "start.json", tmp_path / "target.json"
+    sf.write_text(json.dumps(encode_solutions(np.array([1e6 - 1e-5]), [np.array([1000.0])], [1e-5])))
+    tf.write_text(json.dumps(encode_solutions(np.array([2e6]), [], [])))
+    code, out, _ = run_cli(capsys, "track", str(src), str(sf), str(tf))
+    assert code == 1
+    assert out.startswith("tracked: 0/1\nsolutions: 0\n")
 
 
 def test_track_missing_file(capsys, tmp_path):
@@ -451,6 +497,15 @@ def test_ransac_trials_single(capsys):
                            "--p-inlier", "0.5", "--s", "0.95")
     assert code == 0
     assert out == "35\n"
+
+
+def test_ransac_trials_tiny_success_probability(capsys):
+    # P = C(100, 6) / C(100000, 6) ~ 8.6e-19, so 1 - P rounds to 1: the
+    # count used to divide by log(1 - P) = 0 and print a traceback.
+    code, out, _ = run_cli(capsys, "ransac-trials", "--n", "100000", "--k", "6",
+                           "--p-inlier", "0.001", "--s", "0.99")
+    assert code == 0
+    assert out == f"{ransac_trials(100000, 6, 0.001, 0.99)}\n"
 
 
 def test_ransac_trials_table(capsys):

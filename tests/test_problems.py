@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import math
+from decimal import ROUND_CEILING, Decimal, localcontext
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -310,6 +314,33 @@ def test_ransac_trials_floor_artifact():
     # floor(0.5 * 11) = floor(0.5 * 10) = 5 while C(n, 3) keeps growing, so
     # one extra point can demand more trials.
     assert ransac_trials(11, 3, 0.5, 0.95) > ransac_trials(10, 3, 0.5, 0.95)
+
+
+def exact_ransac_trials(n, k, p_inlier, s):
+    """ransac_trials as a 60-digit Decimal quotient: (the ceiling, the quotient)."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+
+        def ln(q: Fraction) -> Decimal:
+            return (Decimal(q.numerator) / Decimal(q.denominator)).ln()
+
+        P = Fraction(math.comb(math.floor(p_inlier * n), k), math.comb(n, k))
+        quotient = ln(1 - Fraction(s)) / ln(1 - P)
+        return int(quotient.to_integral_value(rounding=ROUND_CEILING)), quotient
+
+
+def test_ransac_trials_small_success_probability_is_exact():
+    # P = 1 / C(65, 6) ~ 1.2e-8: log(1 - P) lost digits, giving 570572849.
+    assert exact_ransac_trials(65, 6, 0.1, 0.999)[0] == 570572846
+    assert ransac_trials(65, 6, 0.1, 0.999) == 570572846
+
+
+def test_ransac_trials_success_probability_below_rounding():
+    # P ~ 8.6e-19, so 1 - P rounds to 1 and the count divided by zero. The
+    # count is past 2**53, so compare to within a few units in the last place.
+    _, quotient = exact_ransac_trials(100000, 6, 0.001, 0.99)
+    got = ransac_trials(100000, 6, 0.001, 0.99)
+    assert abs(Decimal(got) / quotient - 1) < Decimal("1e-15")
 
 
 def test_ransac_trials_all_inliers():

@@ -3,8 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import run_python
 from monogal import tracker
-from monogal.problems import p3p_conic_solve, p3p_fabricate, p3p_system
 from monogal.slp import SystemBuilder, residual
 from monogal.tracker import (
     DegeneratePath,
@@ -205,24 +205,43 @@ def test_track_many_order_and_independence():
             assert abs(endpoints[i] - endpoints[j]) > 1e-3
 
 
-def test_track_bitwise_equal_with_scipy_solve(monkeypatch, scipy_lu_solve):
-    # The direct LAPACK solve must not move a single bit of a tracked path.
-    rng = np.random.default_rng(5)
-    inst, _ = p3p_fabricate(rng)
-    target, _ = p3p_fabricate(rng)
-    seg = PathSegment(inst.as_params(), target.as_params(), unit_gamma(rng), unit_gamma(rng))
-    sysm = p3p_system()
-    starts = [sol.as_vector() for sol in p3p_conic_solve(inst)]
-    shipped = [track(sysm, seg, x) for x in starts]
-    monkeypatch.setattr(tracker, "lu_solve", scipy_lu_solve)
-    reference = [track(sysm, seg, x) for x in starts]
-    assert len(starts) == 8 and all(r.success for r in shipped)
-    for got, want in zip(shipped, reference):
-        assert got.status is want.status
-        assert got.steps_taken == want.steps_taken
-        assert got.t_reached == want.t_reached
-        assert got.endpoint.dtype == want.endpoint.dtype
-        assert np.array_equal(got.endpoint, want.endpoint)
+# Runs in a child interpreter (conftest.run_python): tracks eight P3P paths
+# with lu_solve and again with the scipy reference solve, and prints "equal"
+# when every path has the same status, steps, t and endpoint bits.
+TRACK_CHILD = """
+import numpy as np
+
+from conftest import reference_lu_solve
+from monogal import tracker
+from monogal.problems import p3p_conic_solve, p3p_fabricate, p3p_system
+from monogal.tracker import PathSegment, track
+
+def unit_gamma(rng):
+    return complex(np.exp(2j * np.pi * rng.random()))
+
+rng = np.random.default_rng(5)
+inst, _ = p3p_fabricate(rng)
+target, _ = p3p_fabricate(rng)
+seg = PathSegment(inst.as_params(), target.as_params(), unit_gamma(rng), unit_gamma(rng))
+sysm = p3p_system()
+starts = [sol.as_vector() for sol in p3p_conic_solve(inst)]
+shipped = [track(sysm, seg, x) for x in starts]
+tracker.lu_solve = reference_lu_solve
+reference = [track(sysm, seg, x) for x in starts]
+assert len(starts) == 8 and all(r.success for r in shipped)
+same = all(
+    got.status is want.status and got.steps_taken == want.steps_taken and got.t_reached == want.t_reached
+    and got.endpoint.dtype == want.endpoint.dtype and np.array_equal(got.endpoint, want.endpoint)
+    for got, want in zip(shipped, reference)
+)
+print("equal" if same else "differ")
+"""
+
+
+def test_track_bitwise_equal_with_scipy_solve():
+    # Swapping in scipy's solve must not move a single bit of a tracked path.
+    # scipy's bits depend on the BLAS thread count, so compare at one thread.
+    assert run_python(1, "-c", TRACK_CHILD) == "equal\n"
 
 
 # ------------------------------------------------------------
