@@ -1,13 +1,14 @@
-"""Per-system compiled evaluators (internal).
+"""Per-system compiled evaluator (internal).
 
 Path tracking evaluates systems tens of thousands of times, so this module
-generates straight-line Python once per system: a value function, a combined
-value-plus-Jacobian function (partials w.r.t. unknowns) and a directional
-parameter derivative (df/dz) @ v. The derivatives come from the one symbolic
-forward-mode differentiation in slp (_differentiate); this module only
-emits code for the arenas it returns. Squared-up systems reuse their
-parent's compiled functions composed with the retained coefficient matrix.
-The public slp evaluation functions call these evaluators.
+generates one straight-line Python function per system. It runs in stages
+and returns after the one its caller needs: the values (with every pole
+check), then the Jacobian in the unknowns, then the parameter-direction
+derivative (df/dz) @ v when v is given. All three read one arena from the
+one symbolic forward-mode differentiation in slp (_differentiate), seeded
+with the n unit columns of the unknowns and one direction column. A
+squared-up system is its parent's evaluator composed with the retained
+coefficient matrix. The public slp evaluation functions call this evaluator.
 """
 
 from __future__ import annotations
@@ -57,63 +58,46 @@ def _emit_node_line(lines: list[str], nid: int, node: tuple, pole_check: bool) -
         lines.append(f"    v{nid} = v{node[1]} ** {node[2]}")
 
 
-def _compile_src(name: str, lines: list[str]):
-    namespace = dict(_PREAMBLE)
-    exec(compile("\n".join(lines), f"<monogal:{name}>", "exec"), namespace)
-    return namespace[name]
-
-
-def _body(header: str, nodes, roots, poles) -> list[str]:
-    """The header line plus one line per node reachable from roots or poles;
-    only the divisions in poles check for a vanishing denominator."""
-    poles = set(poles)
-    lines = [header]
-    for nid in _reachable(nodes, [*roots, *poles]):
-        _emit_node_line(lines, nid, nodes[nid], nid in poles)
-    return lines
-
-
-def _gen_value(sys: GateSystem):
-    poles = [nid for nid in sys.reachable() if sys.nodes[nid][0] == "div"]
-    lines = _body("def _value(z, x):", sys.nodes, sys.outputs, poles)
-    outs = ", ".join(f"v{o}" for o in sys.outputs)
-    lines.append(f"    return np.array([{outs}], dtype=complex)")
-    return _compile_src("_value", lines)
-
-
-def _gen_value_and_jac(sys: GateSystem):
-    """Emits one straight-line function returning (outputs, Jacobian)."""
-    n_unk = sys.num_unknowns
+def _generate(sys: GateSystem):
+    """Emits _eval(z, x, v, jac) -> (f, J, d); J is None unless jac, d is
+    None unless v is given too. Each stage emits only the nodes that no
+    earlier stage did, and only the system's own divisions check for a pole."""
+    n_unk, n_out = sys.num_unknowns, sys.num_outputs
     one = ("const", complex(1.0))
-    seeds = {("unk", j): [one if col == j else None for col in range(n_unk)] for j in range(n_unk)}
-    d = _differentiate(sys, seeds)
-    entries = [(row, col, did) for row, cols in enumerate(d.derivatives)
-               for col, did in enumerate(cols) if did is not None]
-    lines = _body("def _vj(z, x):", d.nodes, d.values + [did for _, _, did in entries], d.poles)
-    outs = ", ".join(f"v{o}" for o in d.values)
-    lines.append(f"    f = np.array([{outs}], dtype=complex)")
-    lines.append(f"    J = np.zeros(({sys.num_outputs}, {n_unk}), dtype=complex)")
-    for row, col, did in entries:
-        lines.append(f"    J[{row}, {col}] = v{did}")
-    lines.append("    return f, J")
-    return _compile_src("_vj", lines)
+    seeds = {("unk", j): [one if col == j else None for col in range(n_unk + 1)] for j in range(n_unk)}
+    seeds.update({("par", i): [None] * n_unk + [("dir", i)] for i in range(sys.num_parameters)})
+    arena = _differentiate(sys, seeds)
+    j_entries = [(row, col, did) for row, cols in enumerate(arena.derivatives)
+                 for col, did in enumerate(cols[:n_unk]) if did is not None]
+    d_entries = [(row, cols[n_unk]) for row, cols in enumerate(arena.derivatives) if cols[n_unk] is not None]
+    poles = set(arena.poles)
+    emitted: set[int] = set()
+    lines = ["def _eval(z, x, v, jac):"]
 
+    def emit(roots):
+        for nid in _reachable(arena.nodes, roots):
+            if nid not in emitted:
+                emitted.add(nid)
+                _emit_node_line(lines, nid, arena.nodes[nid], nid in poles)
 
-def _gen_param_dir(sys: GateSystem):
-    """Emits the directional derivative (df/dz) @ v."""
-    seeds = {("par", i): [("dir", i)] for i in range(sys.num_parameters)}
-    d = _differentiate(sys, seeds)
-    entries = [(row, cols[0]) for row, cols in enumerate(d.derivatives) if cols[0] is not None]
-    lines = _body("def _pdir(z, x, v):", d.nodes, [did for _, did in entries], d.poles)
-    lines.append(f"    out = np.zeros({sys.num_outputs}, dtype=complex)")
-    for row, did in entries:
-        lines.append(f"    out[{row}] = v{did}")
-    lines.append("    return out")
-    return _compile_src("_pdir", lines)
+    emit(arena.values + arena.poles)
+    lines.append(f"    f = np.array([{', '.join(f'v{o}' for o in arena.values)}], dtype=complex)")
+    lines.append("    if not jac: return f, None, None")
+    emit([did for _, _, did in j_entries])
+    lines.append(f"    J = np.zeros(({n_out}, {n_unk}), dtype=complex)")
+    lines.extend(f"    J[{row}, {col}] = v{did}" for row, col, did in j_entries)
+    lines.append("    if v is None: return f, J, None")
+    emit([did for _, did in d_entries])
+    lines.append(f"    d = np.zeros({n_out}, dtype=complex)")
+    lines.extend(f"    d[{row}] = v{did}" for row, did in d_entries)
+    lines.append("    return f, J, d")
+    namespace = dict(_PREAMBLE)
+    exec(compile("\n".join(lines), "<monogal:_eval>", "exec"), namespace)
+    return namespace["_eval"]
 
 
 class CompiledSystem:
-    """Fast evaluators for one GateSystem; build once, call many times."""
+    """Fast evaluator for one GateSystem; build once, call many times."""
 
     def __init__(self, sys: GateSystem):
         self.sys = sys
@@ -123,25 +107,22 @@ class CompiledSystem:
             self._coeffs = np.asarray(sys.squareup_coeffs, dtype=complex)
         else:
             self._base = None
-            self._value_fn = _gen_value(sys)
-            self._vj_fn = _gen_value_and_jac(sys)
-            self._pdir_fn = _gen_param_dir(sys)
+            self._fn = _generate(sys)
+
+    def _eval(self, z: np.ndarray, x: np.ndarray, v: np.ndarray | None, jac: bool) -> tuple:
+        if self._base is None:
+            # list(v) keeps v's entries numpy scalars, as the pinned bits of
+            # the direction derivative were recorded with.
+            return self._fn(z.tolist(), x.tolist(), None if v is None else list(v), jac)
+        return tuple(None if a is None else self._coeffs @ a for a in self._base._eval(z, x, v, jac))
 
     def value(self, z: np.ndarray, x: np.ndarray) -> np.ndarray:
-        if self._base is not None:
-            return self._coeffs @ self._base.value(z, x)
-        return self._value_fn(z.tolist(), x.tolist())
+        return self._eval(z, x, None, False)[0]
 
-    def value_and_jac(self, z: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self._base is not None:
-            f, jac = self._base.value_and_jac(z, x)
-            return self._coeffs @ f, self._coeffs @ jac
-        return self._vj_fn(z.tolist(), x.tolist())
-
-    def param_dir(self, z: np.ndarray, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        if self._base is not None:
-            return self._coeffs @ self._base.param_dir(z, x, v)
-        return self._pdir_fn(z.tolist(), x.tolist(), list(v))
+    def value_and_jac(self, z: np.ndarray, x: np.ndarray, v: np.ndarray | None = None) -> tuple:
+        """(f, J, d): the values, the Jacobian in the unknowns, and (df/dz) @ v,
+        which is None when v is None."""
+        return self._eval(z, x, v, True)
 
     def residual(self, z: np.ndarray, x: np.ndarray) -> float:
         return float(np.abs(self.value(z, x)).max())

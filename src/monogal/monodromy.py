@@ -240,7 +240,7 @@ def build_graph(sys: GateSystem, z0: np.ndarray, x0: np.ndarray, n_nodes: int,
     if len(z0) != len(sys.parameter_names) or len(x0) != n_unk:
         raise ValueError("parameter or unknown vector has the wrong length")
     res = residual(sys, z0, x0)
-    if res > 1e-8:
+    if not res <= 1e-8:  # also rejects NaN
         raise ValueError(f"seed residual {res:.3e} exceeds 1e-8")
     jac = jacobian_unknowns(sys, z0, x0)
     if numerical_rank(jac) < n_unk:

@@ -9,8 +9,9 @@ systems by random complex linear combinations, and the one symbolic
 forward-mode differentiation of the DAG (_differentiate), which yields
 df/dx or (df/dz) @ v as nodes of a hash-consed arena.
 
-Evaluation is generated code: _compile emits straight-line Python once per
-system for the values, for (values, df/dx) and for (df/dz) @ v, and the
+Evaluation is generated code: _compile emits one straight-line Python
+function per system from one differentiation arena. It returns after the
+stage its caller needs: the values, then df/dx, then (df/dz) @ v. The
 public evaluate, jacobian_unknowns, jacobian_parameters and residual call
 it. A squared-up system is evaluated as its coefficient matrix times its
 parent's outputs.
@@ -344,7 +345,7 @@ def jacobian_parameters(sys: GateSystem, z, x) -> np.ndarray:
     z, x = _check_dims(sys, z, x)
     comp = _compiled(sys)
     units = np.eye(sys.num_parameters, dtype=complex)
-    return np.stack([comp.param_dir(z, x, e) for e in units], axis=1)
+    return np.stack([comp.value_and_jac(z, x, e)[2] for e in units], axis=1)
 
 
 def residual(sys: GateSystem, z, x) -> float:

@@ -11,8 +11,10 @@ otherwise. Solutions are continued along phi by integrating the Davidenko ODE
 
 with a 4th-order Runge-Kutta predictor and a Newton corrector at fixed t,
 growing the step by 1.5 after an accepted step and halving it after a
-rejected one. Endpoints are polished by a few extra Newton steps. Step
-sizes, tolerances and budgets are fixed module constants, not options.
+rejected one. Each RK4 stage makes one call to the system's generated
+evaluator, which returns df/dx and (df/dz) phi'(t) from one pass. Endpoints
+are polished by a few extra Newton steps. Step sizes, tolerances and
+budgets are fixed module constants, not options.
 Tracking is deterministic: identical inputs produce identical results bit
 for bit, at any BLAS thread count for systems of up to 96 unknowns (see
 monogal.linalg).
@@ -177,7 +179,7 @@ def refine(sys: GateSystem, z, x, iters: int) -> RefineOutcome:
     for _ in range(iters):
         if res <= 1e-15 * (1.0 + _maxabs(x)):
             break
-        f, jac = comp.value_and_jac(z, x)
+        f, jac, _ = comp.value_and_jac(z, x)
         x = x + (lu_solve(jac, -f) if square else np.linalg.lstsq(jac, -f, rcond=None)[0])
         res = comp.residual(z, x)
     return RefineOutcome(x, res)
@@ -192,17 +194,26 @@ def track(sys: GateSystem, seg: PathSegment, x_start) -> TrackResult:
 
     Args:
         sys: square system (num_outputs == num_unknowns).
-        seg: parameter segment to follow from t=0 to t=1.
+        seg: parameter segment to follow from t=0 to t=1, with one entry
+            per parameter of sys.
         x_start: solution at path_point(seg, 0); residual must be <= 1e-6.
+
+    Raises:
+        ValueError: sys is not square, x_start or the segment's parameters
+            have the wrong shape, or x_start is not a solution (a NaN
+            residual included).
     """
     if sys.num_outputs != sys.num_unknowns:
         raise ValueError(f"system is not square: {sys.num_outputs} outputs, {sys.num_unknowns} unknowns")
     x = np.asarray(x_start, dtype=complex)
     if x.shape != (sys.num_unknowns,):
         raise ValueError(f"start point shape {x.shape} does not match {sys.num_unknowns} unknowns")
+    if seg.z_start.shape != (sys.num_parameters,):
+        raise ValueError(f"segment parameter shape {seg.z_start.shape} does not match "
+                         f"the system's ({sys.num_parameters},)")
     comp = compiled_for(sys)
     z0 = path_point(seg, 0.0)
-    if comp.residual(z0, x) > 1e-6:
+    if not comp.residual(z0, x) <= 1e-6:  # also rejects NaN
         raise ValueError("x_start is not a solution at the segment start (residual > 1e-6)")
 
     t = 0.0
@@ -211,8 +222,7 @@ def track(sys: GateSystem, seg: PathSegment, x_start) -> TrackResult:
 
     def rhs(t_at: float, x_at: np.ndarray) -> np.ndarray:
         phi, dphi = _segment_eval(seg, t_at)
-        _, jac = comp.value_and_jac(phi, x_at)
-        b = comp.param_dir(phi, x_at, dphi)
+        _, jac, b = comp.value_and_jac(phi, x_at, dphi)
         return lu_solve(jac, -b)
 
     while t < 1.0:
@@ -233,7 +243,7 @@ def track(sys: GateSystem, seg: PathSegment, x_start) -> TrackResult:
             z_new = path_point(seg, t_new)
             x_corr = x_pred
             for _ in range(_MAX_CORRECTOR_ITERS):
-                f, jac = comp.value_and_jac(z_new, x_corr)
+                f, jac, _ = comp.value_and_jac(z_new, x_corr)
                 if _maxabs(f) <= _CORRECTOR_TOL:
                     accepted = True
                     break

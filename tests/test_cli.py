@@ -247,6 +247,16 @@ def test_monodromy_start_without_solutions(capsys, tmp_path):
     assert "no solutions" in err
 
 
+def test_monodromy_rejects_nan_start(capsys, tmp_path):
+    src, _ = write_cubic(tmp_path)
+    start = tmp_path / "nan.json"
+    doc = encode_solutions(np.array([0.0, -8.0]), [np.array([complex("nan")])], [0.0])
+    start.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "monodromy", src, "--start", str(start))
+    assert code == 2
+    assert "seed residual nan exceeds 1e-8" in err
+
+
 def test_monodromy_unknown_equivalencer(capsys):
     code, _, err = run_cli(capsys, "monodromy", "p3p", "--equivalencer", "nosuch")
     assert code == 2

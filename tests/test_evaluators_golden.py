@@ -1,11 +1,13 @@
-"""Golden bits of the generated evaluators.
+"""Golden bits of the generated evaluator.
 
 The digests were recorded while the value, the Jacobian and the parameter
 direction derivative each still had their own code generator (symbolic
 forward mode for the Jacobian, dual numbers for the direction derivative).
-They pin every output bit, so a change to the shared symbolic
-differentiation or to the emitted code that moves any rounding fails here.
-The systems are unsquared, so no BLAS call takes part.
+Today one generated function computes all three in stages and returns after
+the one its caller asks for. The digests pin every output bit, so a change
+to the shared symbolic differentiation, to the emitted code or to a stage
+exit that moves any rounding fails here. The systems are unsquared, so no
+BLAS call takes part.
 """
 
 from __future__ import annotations
@@ -62,10 +64,10 @@ def _digests(sysm):
     hv, hj, hp = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for z, x, v in _points(sysm):
         hv.update(comp.value(z, x).tobytes())
-        f, jac = comp.value_and_jac(z, x)
+        f, jac, _ = comp.value_and_jac(z, x)
         hj.update(f.tobytes())
         hj.update(jac.tobytes())
-        hp.update(comp.param_dir(z, x, v).tobytes())
+        hp.update(comp.value_and_jac(z, x, v)[2].tobytes())
     return hv.hexdigest(), hj.hexdigest(), hp.hexdigest()
 
 
@@ -81,29 +83,50 @@ def test_public_functions_call_the_generated_evaluators(name):
     sysm = SYSTEMS[name]()
     comp = compiled_for(sysm)
     for z, x, v in list(_points(sysm, n=5)):
-        f, jac = comp.value_and_jac(z, x)
+        f, jac, _ = comp.value_and_jac(z, x)
         assert evaluate(sysm, z, x).tobytes() == comp.value(z, x).tobytes()
         assert jacobian_unknowns(sysm, z, x).tobytes() == jac.tobytes()
         jp = jacobian_parameters(sysm, z, x)
         for i in range(sysm.num_parameters):
             e = np.zeros(sysm.num_parameters, dtype=complex)
             e[i] = 1.0
-            assert jp[:, i].tobytes() == comp.param_dir(z, x, e).tobytes()
+            assert jp[:, i].tobytes() == comp.value_and_jac(z, x, e)[2].tobytes()
         assert residual(sysm, z, x) == comp.residual(z, x)
+
+
+def _squared_up(sysm):
+    z, x, _ = next(_points(sysm))
+    return square_up(sysm, z, x, np.random.default_rng(3))
 
 
 def test_squared_up_system_is_evaluated_through_its_parent():
     sysm = fivepoint_system()
-    rng = np.random.default_rng(3)
-    z, x, _ = next(_points(sysm))
-    sq = square_up(sysm, z, x, rng)
+    sq = _squared_up(sysm)
     assert sq.squareup_parent is sysm
     coeffs = sq.squareup_coeffs
     for z, x, v in _points(sysm, n=5, seed=11):
         assert evaluate(sq, z, x).tobytes() == (coeffs @ evaluate(sysm, z, x)).tobytes()
         assert jacobian_unknowns(sq, z, x).tobytes() == (coeffs @ jacobian_unknowns(sysm, z, x)).tobytes()
-        assert compiled_for(sq).param_dir(z, x, v).tobytes() == (
-            coeffs @ compiled_for(sysm).param_dir(z, x, v)).tobytes()
+        assert compiled_for(sq).value_and_jac(z, x, v)[2].tobytes() == (
+            coeffs @ compiled_for(sysm).value_and_jac(z, x, v)[2]).tobytes()
+
+
+@pytest.mark.parametrize("make", [*(SYSTEMS[name] for name in sorted(SYSTEMS)),
+                                  lambda: _squared_up(fivepoint_system())],
+                         ids=[*sorted(SYSTEMS), "fivepoint-squared"])
+def test_stage_exits_agree_bitwise(make):
+    # Each exit of the one generated function returns the bits the later
+    # stages would have returned for the same outputs.
+    sysm = make()
+    comp = compiled_for(sysm)
+    for z, x, v in _points(sysm, n=20, seed=5):
+        value = comp.value(z, x)
+        f, jac, d = comp.value_and_jac(z, x)
+        f_v, jac_v, d_v = comp.value_and_jac(z, x, v)
+        assert d is None
+        assert value.tobytes() == f.tobytes() == f_v.tobytes()
+        assert jac.tobytes() == jac_v.tobytes()
+        assert d_v.shape == (sysm.num_outputs,)
 
 
 def test_non_finite_constants_compile():

@@ -140,6 +140,8 @@ def test_build_graph_validation():
         build_graph(cubic_system(), [1.0], x0, 3, rng)
     with pytest.raises(ValueError, match="residual"):
         build_graph(cubic_system(), z0, [1.0], 3, rng)
+    with pytest.raises(ValueError, match="seed residual nan"):
+        build_graph(cubic_system(), z0, [complex("nan")], 3, rng)
 
 
 def test_build_graph_rank_deficient_seed():

@@ -147,6 +147,11 @@ def test_track_rejects_bad_input():
         track(sysm, seg, [1.0, 1.0])  # wrong shape
     with pytest.raises(ValueError):
         track(overdetermined_system(), seg, [1.0])  # not square
+    with pytest.raises(ValueError, match="not a solution"):
+        track(sysm, seg, [complex("nan")])  # a NaN residual passes no bound
+    for z in ([0.0, -8.0, 1.0], [0.0]):  # 3 and 1 parameters for the cubic's 2
+        with pytest.raises(ValueError, match=rf"shape \({len(z)},\) .*\(2,\)"):
+            track(cubic_system(), PathSegment(z, z), [2.0])
 
 
 def test_track_singular_target_finds_double_root():
