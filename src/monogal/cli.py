@@ -5,6 +5,8 @@ that draw random numbers (fabricate, monodromy, track) take --seed, and all
 their randomness flows from one generator seeded by it, so identical seeds
 and flags reproduce identical bytes on stdout and in written files, at any
 BLAS thread count for systems of up to 96 unknowns (see monogal.linalg).
+`monodromy --equivalencer NAME` solves modulo the problem's deck map, and
+NAME must be the problem's `classes` name (translation, sign).
 
 Exit codes: 0 success, 1 path failures in track, 2 bad input (unknown
 problem, parse error, unreadable or mis-shaped solutions JSON, invalid
@@ -140,11 +142,7 @@ def _load_system_and_seed(args, rng):
 
 def cmd_monodromy(args) -> int:
     try:
-        opts = RunOptions(
-            stabilization_limit=args.stabilization,
-            saturate=args.saturate,
-            target_count=args.target_count,
-        )
+        opts = RunOptions(stabilization_limit=args.stabilization, target_count=args.target_count)
     except ValueError as exc:
         _err(str(exc))
         return EXIT_BAD_INPUT
@@ -154,18 +152,17 @@ def cmd_monodromy(args) -> int:
         return loaded
     sysm, z0, x0, problem = loaded
 
-    equivalencer = None
-    if args.equivalencer is not None:
-        if problem is None or args.equivalencer not in problem.equivalencers:
-            _err(f"unknown equivalencer {args.equivalencer!r}")
-            return EXIT_BAD_INPUT
-        equivalencer = problem.equivalencers[args.equivalencer]
+    classes = args.equivalencer is not None
+    if classes and (problem is None or args.equivalencer != problem.classes):
+        _err(f"unknown equivalencer {args.equivalencer!r}")
+        return EXIT_BAD_INPUT
+    deck_map = None if problem is None else problem.deck_map
 
     original = sysm
     try:
         if sysm.num_outputs > sysm.num_unknowns:
             sysm = square_up(sysm, z0, x0, rng)
-        graph = build_graph(sysm, z0, x0, args.nodes, rng, equivalencer=equivalencer)
+        graph = build_graph(sysm, z0, x0, args.nodes, rng, deck_map=deck_map, classes=classes)
     except RankDeficient as exc:
         _err(f"rank failure: {exc}")
         return EXIT_RANK
@@ -182,7 +179,7 @@ def cmd_monodromy(args) -> int:
         _err(f"tracking collapse: {exc}")
         return EXIT_TRACKING
 
-    label = "classes" if equivalencer is not None else "solutions"
+    label = "classes" if classes else "solutions"
     print(f"{label}: {len(result.solutions)}")
     print(f"loops: {result.loops_run}")
     print(f"paths: {result.paths_tracked}")
@@ -386,10 +383,11 @@ def _parser() -> argparse.ArgumentParser:
     m.add_argument("--nodes", type=int, default=5, help="graph nodes (default 5)")
     m.add_argument("--stabilization", type=int, default=4,
                    help="stop when nothing is pending and this many fresh random edges "
-                        "found no new solution (default 4)")
-    m.add_argument("--saturate", action="store_true", help="stop once every solution crossed every edge")
+                        "found no new solution; 0 stops once every solution crossed every "
+                        "edge (default 4)")
     m.add_argument("--target-count", type=int, default=None, help="stop at this many solutions")
-    m.add_argument("--equivalencer", default=None, help="registered equivalencer name")
+    m.add_argument("--equivalencer", default=None,
+                   help="solve modulo the problem's deck map: translation (fivepoint), sign (p3p)")
     m.add_argument("--out-solutions", default=None, help="write solutions JSON here")
     m.add_argument("--out-group", default=None, help="write perm script here")
     m.add_argument("--verbose", action="store_true", help="print the graph's node and edge counts")

@@ -11,8 +11,11 @@ fiber. The monodromy action factors through the graph's fundamental group,
 which these cycles generate, so at most |E|-|V|+1 permutations generate the
 group of every closed walk from the base node over the usable edges.
 
-Paths run at the tracker's fixed settings and every registry merges keys
-within one fixed relative tolerance, 1e-6; only the stopping rule
+A problem's deck map σ enters through build_graph: in class mode every
+registry merges x with σ(x); otherwise run closes the base fiber under σ.
+
+Paths run at the tracker's fixed settings and every registry merges
+vectors within one fixed relative tolerance, 1e-6; only the stopping rule
 (RunOptions) is configurable.
 """
 
@@ -29,7 +32,7 @@ import numpy as np
 from .groups import Permutation
 from .linalg import numerical_rank
 from .slp import GateSystem, RankDeficient, jacobian_unknowns, residual
-from .tracker import PathSegment, track
+from .tracker import PathSegment, refine, track
 
 __all__ = [
     "SolutionRegistry",
@@ -63,46 +66,36 @@ class MixedDegree(ValueError):
 class SolutionRegistry:
     """Ordered store of solution vectors with stable ids and near-duplicate merging.
 
-    Two vectors are the same solution when their keys (the vectors themselves,
-    or their equivalencer projections) differ by at most _DEDUP_TOLERANCE
-    (1e-6) in the max-norm, normalized by (1 + the larger max-norm of the
-    two keys). Ids follow assignment order and are never reused.
+    Two vectors are the same solution when they differ by at most
+    _DEDUP_TOLERANCE (1e-6) in the max-norm, normalized by (1 + the larger
+    max-norm of the two). With a deck map σ, x also matches every entry that
+    σ(x) matches, so the registry holds one representative, the first seen,
+    per class {x, σ(x)}. Ids follow assignment order and are never reused.
     """
 
-    def __init__(self, equivalencer: Callable[[np.ndarray], np.ndarray] | None = None):
-        self.equivalencer = equivalencer
+    def __init__(self, deck_map: Callable[[np.ndarray], np.ndarray] | None = None):
+        self.deck_map = deck_map
         self._solutions: list[np.ndarray] = []
-        self._keys: list[np.ndarray] = []
-
-    def _key_of(self, x: np.ndarray) -> np.ndarray:
-        if self.equivalencer is None:
-            return x
-        return np.asarray(self.equivalencer(x), dtype=complex).ravel()
 
     def register(self, x: np.ndarray) -> tuple[int, bool]:
-        """Returns (id, is_new). Matching an existing key keeps the old entry."""
+        """Returns (id, is_new). Matching an existing entry keeps the old entry."""
         x = np.asarray(x, dtype=complex).ravel()
-        key = self._key_of(x)
-        match = self._match(key)
+        match = self.find(x)
         if match is not None:
             return match, False
         self._solutions.append(x.copy())
-        self._keys.append(key.copy())
         return len(self._solutions) - 1, True
 
-    def _match(self, key: np.ndarray) -> int | None:
-        for idx, stored in enumerate(self._keys):
-            if stored.shape != key.shape:
-                continue
-            scale = 1.0 + max(float(np.abs(stored).max()), float(np.abs(key).max()))
-            if float(np.abs(stored - key).max()) <= _DEDUP_TOLERANCE * scale:
-                return idx
-        return None
-
     def find(self, x: np.ndarray) -> int | None:
-        """Id of the entry matching x's key, or None."""
+        """Id of the entry matching x (or σ(x)), or None."""
         x = np.asarray(x, dtype=complex).ravel()
-        return self._match(self._key_of(x))
+        keys = [x] if self.deck_map is None else [x, self.deck_map(x)]
+        for idx, stored in enumerate(self._solutions):
+            for key in keys:
+                scale = 1.0 + max(float(np.abs(stored).max()), float(np.abs(key).max()))
+                if float(np.abs(stored - key).max()) <= _DEDUP_TOLERANCE * scale:
+                    return idx
+        return None
 
     def __len__(self) -> int:
         return len(self._solutions)
@@ -156,11 +149,12 @@ class HomotopyGraph:
     nodes: list[BasePoint]
     edges: list[HomotopyEdge]
     rng: np.random.Generator
+    deck_map: Callable[[np.ndarray], np.ndarray] | None = None
+    classes: bool = False
 
 
 class StopReason(enum.Enum):
     Stabilization = "stabilization"
-    Saturation = "saturation"
     TargetCount = "target_count"
 
 
@@ -170,16 +164,16 @@ class RunOptions:
 
     stabilization_limit counts fresh random edges, not loops: a run stops by
     stabilization once nothing is pending and this many fresh edges were
-    added and fully explored since the last new solution.
+    added and fully explored since the last new solution. A limit of 0
+    stops the first time every solution crossed every edge.
     """
 
     stabilization_limit: int = 4
-    saturate: bool = False
     target_count: int | None = None
 
     def __post_init__(self):
-        if self.stabilization_limit < 1:
-            raise ValueError(f"stabilization_limit must be >= 1, got {self.stabilization_limit}")
+        if self.stabilization_limit < 0:
+            raise ValueError(f"stabilization_limit must be >= 0, got {self.stabilization_limit}")
         if self.target_count is not None and self.target_count < 1:
             raise ValueError(f"target_count must be >= 1, got {self.target_count}")
 
@@ -214,7 +208,8 @@ def _sample_gamma_pair(rng: np.random.Generator) -> tuple[complex, complex]:
 
 def build_graph(sys: GateSystem, z0: np.ndarray, x0: np.ndarray, n_nodes: int,
                 rng: np.random.Generator,
-                equivalencer: Callable[[np.ndarray], np.ndarray] | None = None) -> HomotopyGraph:
+                deck_map: Callable[[np.ndarray], np.ndarray] | None = None,
+                classes: bool = False) -> HomotopyGraph:
     """Complete graph over n_nodes generic instances, seeded with (z0, x0).
 
     Args:
@@ -223,7 +218,8 @@ def build_graph(sys: GateSystem, z0: np.ndarray, x0: np.ndarray, n_nodes: int,
         x0: a solution of sys at z0, residual at most 1e-8.
         n_nodes: number of base points, at least 2.
         rng: drives the fresh parameter draws and gamma pairs.
-        equivalencer: optional projection whose values define solution identity.
+        deck_map: the problem's deck symmetry σ on solution vectors, if any.
+        classes: solve modulo σ: every registry merges x with σ(x).
 
     Raises:
         ValueError: fewer than 2 nodes, wrong shapes, or a seed residual above 1e-8.
@@ -246,16 +242,17 @@ def build_graph(sys: GateSystem, z0: np.ndarray, x0: np.ndarray, n_nodes: int,
     if numerical_rank(jac) < n_unk:
         raise RankDeficient(f"Jacobian rank below {n_unk} at the seed solution")
 
-    nodes = [BasePoint(0, z0, SolutionRegistry(equivalencer))]
+    merge = deck_map if classes else None
+    nodes = [BasePoint(0, z0, SolutionRegistry(merge))]
     nodes[0].registry.register(x0)
     for k in range(1, n_nodes):
         z = rng.standard_normal(len(z0)) + 1j * rng.standard_normal(len(z0))
-        nodes.append(BasePoint(k, z, SolutionRegistry(equivalencer)))
+        nodes.append(BasePoint(k, z, SolutionRegistry(merge)))
     edges = []
     for a in range(n_nodes):
         for b in range(a + 1, n_nodes):
             edges.append(HomotopyEdge(len(edges), a, b, _sample_gamma_pair(rng)))
-    return HomotopyGraph(sys, nodes, edges, rng)
+    return HomotopyGraph(sys, nodes, edges, rng, deck_map, classes)
 
 
 def _direction_units(graph: HomotopyGraph):
@@ -405,6 +402,16 @@ def _extract_permutations(graph: HomotopyGraph) -> list[Permutation]:
             for edge, perm in usable if edge.from_node in label and edge.edge_id not in tree]
 
 
+def _add_deck_images(graph: HomotopyGraph) -> bool:
+    # Registers σ of each base solution that the base fiber lacks, polished
+    # at the base parameters; returns whether there was any.
+    base = graph.nodes[0]
+    missing = [y for y in map(graph.deck_map, base.registry.vectors()) if base.registry.find(y) is None]
+    for y in missing:
+        base.registry.register(refine(graph.system, base.z, y, iters=3).x)
+    return bool(missing)
+
+
 def run(graph: HomotopyGraph, opts: RunOptions | None = None) -> MonodromyResult:
     """Tracks solutions around the graph until a stopping criterion fires.
 
@@ -414,10 +421,11 @@ def run(graph: HomotopyGraph, opts: RunOptions | None = None) -> MonodromyResult
     of tracked once the edge passed its audit (see HomotopyEdge). It still
     counts as pending, so the loops are those that tracking everything would
     run, and paths_tracked counts only tracked paths, audits included. When
-    nothing is pending and saturation stopping is off, a fresh random-gamma
-    edge keeps the exploration going; the run stops by stabilization when
-    nothing is pending and opts.stabilization_limit fresh edges have been
-    added since the last new solution.
+    nothing is pending, a fresh random-gamma edge keeps the exploration
+    going; the run stops by stabilization when nothing is pending and
+    opts.stabilization_limit fresh edges have been added since the last new
+    solution. Outside class mode, a stop first registers the σ-images the
+    base fiber lacks, since loops can each keep one member of every σ-pair.
 
     Raises:
         TrackFailureRate: more than half the ids that one multi-id loop sent
@@ -438,10 +446,9 @@ def run(graph: HomotopyGraph, opts: RunOptions | None = None) -> MonodromyResult
         units = _direction_units(graph)
         pending, edge, forward = max(units, key=lambda u: (len(u[0]), -u[1].edge_id, u[2]))
         if not pending:
-            if opts.saturate:
-                stopped_by = StopReason.Saturation
-                break
             if fresh_edges >= opts.stabilization_limit:
+                if graph.deck_map is not None and not graph.classes and _add_deck_images(graph):
+                    continue
                 stopped_by = StopReason.Stabilization
                 break
             _add_random_edge(graph)

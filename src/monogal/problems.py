@@ -3,8 +3,9 @@ RanSaC trial-count formula.
 
 P3P carries both the Grunert depth system (for monodromy) and a direct
 conic-pencil solver used as an independent oracle; the five-point problem
-carries its system builder, Cayley fabricator, translation equivalencer,
-and the twisted-pair deck symmetry.
+carries its system builder and Cayley fabricator. Each problem declares its
+deck symmetry once, as a map on solution vectors: λ -> -λ for P3P, the
+twisted pair for five-point.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ __all__ = [
     "p3p_pose_from_depths",
     "fivepoint_system",
     "fivepoint_fabricate",
-    "fivepoint_equivalencer",
     "twisted_pair",
     "essential_matrix",
     "cayley_rotation",
@@ -465,12 +465,6 @@ def fivepoint_fabricate(rng: np.random.Generator) -> tuple[FivePointInstance, Fi
     raise DegenerateSample("no valid five-point sample in 100 attempts")
 
 
-def fivepoint_equivalencer(x: np.ndarray) -> np.ndarray:
-    """Key (t1, t2): solutions with equal translations are deck-equivalent."""
-    x = np.asarray(x, dtype=complex).ravel()
-    return x[:2].copy()
-
-
 def twisted_pair(sol: FivePointSolution) -> FivePointSolution:
     """The deck-transformation partner: same translation, reflected rotation.
 
@@ -534,16 +528,17 @@ def ransac_trials(n: int, k: int, p_inlier: float, s: float) -> int:
 class Problem:
     """A named built-in problem the CLI can fabricate and solve.
 
-    deck_map is the problem's declared deck symmetry on solution vectors:
+    deck_map is the problem's declared deck symmetry σ on solution vectors:
     it sends a solution to another solution of the same instance (None when
-    the problem declares none).
+    the problem declares none). classes is the `--equivalencer` name under
+    which monodromy solves modulo σ.
     """
 
     name: str
     build_system: Callable[[], GateSystem]
     fabricate: Callable[[np.random.Generator], tuple[np.ndarray, np.ndarray]]
-    equivalencers: dict[str, Callable[[np.ndarray], np.ndarray]]
     deck_map: Callable[[np.ndarray], np.ndarray] | None
+    classes: str | None
 
 
 def _p3p_fabricate_vectors(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -565,14 +560,14 @@ PROBLEMS: dict[str, Problem] = {
         name="p3p",
         build_system=p3p_system,
         fabricate=_p3p_fabricate_vectors,
-        equivalencers={},
-        deck_map=None,
+        deck_map=np.negative,
+        classes="sign",
     ),
     "fivepoint": Problem(
         name="fivepoint",
         build_system=fivepoint_system,
         fabricate=_fivepoint_fabricate_vectors,
-        equivalencers={"translation": fivepoint_equivalencer},
         deck_map=_fivepoint_deck_map,
+        classes="translation",
     ),
 }

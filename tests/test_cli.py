@@ -11,7 +11,7 @@ from conftest import run_python
 from monogal import cli
 from monogal.cli import main
 from monogal.groups import parse_perm_script
-from monogal.monodromy import TrackFailureRate, decode_solutions, encode_solutions
+from monogal.monodromy import SolutionRegistry, TrackFailureRate, decode_solutions, encode_solutions
 from monogal.problems import (
     fivepoint_fabricate,
     p3p_conic_solve,
@@ -263,6 +263,30 @@ def test_monodromy_unknown_equivalencer(capsys):
     assert "unknown equivalencer" in err
 
 
+@pytest.mark.parametrize("system, name", [("fivepoint", "sign"), ("p3p", "translation")])
+def test_monodromy_equivalencer_of_another_problem_exits_2(capsys, system, name):
+    code, _, err = run_cli(capsys, "monodromy", system, "--equivalencer", name)
+    assert code == 2
+    assert "unknown equivalencer" in err
+
+
+def test_monodromy_p3p_sign_classes(capsys):
+    # Solved modulo σ = -λ, P3P has 4 classes, and S4 acts on them.
+    code, out, _ = run_cli(capsys, "monodromy", "p3p", "--seed", "1", "--equivalencer", "sign")
+    assert code == 0
+    for line in ("classes: 4", "order: 24", "blocks: none", "galois width: 3"):
+        assert line in out.splitlines()
+
+
+def test_monodromy_p3p_closes_the_base_fiber_under_the_deck_map(capsys):
+    # Every loop of this run kept one solution of each ±λ pair: it used to
+    # stop by stabilization at 4 solutions, order 24 and "even: false".
+    code, out, _ = run_cli(capsys, "monodromy", "p3p", "--seed", "52593329")
+    assert code == 0
+    assert "solutions: 8" in out.splitlines()
+    assert "even: true" in out.splitlines()
+
+
 def test_monodromy_rank_failure(capsys, tmp_path):
     src = tmp_path / "quad.txt"
     src.write_text("params z; unknowns x; eqs x^2 - z;")
@@ -316,6 +340,23 @@ def test_track_p3p(capsys, tmp_path, p3p_track_files):
     assert max(res) <= 1e-8
     for x in sols:
         assert residual(p3p_system(), z1, x) <= 1e-8
+
+
+def test_track_p3p_one_start_per_sign_class(capsys, tmp_path, p3p_track_files):
+    # Doubling the endpoints through σ = -λ gives back the whole fiber.
+    sf, tf, z0, starts, _ = p3p_track_files
+    classes = SolutionRegistry(deck_map=np.negative)
+    for x in starts:
+        classes.register(x)
+    reps = classes.vectors()
+    assert len(reps) == 4
+    sf.write_text(json.dumps(encode_solutions(z0, reps, [0.0] * len(reps))))
+    out_path = tmp_path / "out.json"
+    code, out, _ = run_cli(capsys, "track", "p3p", str(sf), str(tf), "--out", str(out_path), "--seed", "9")
+    assert code == 0
+    assert out.startswith("tracked: 4/4\nsolutions: 8\n")
+    z1, sols, _ = decode_solutions(out_path.read_text())
+    assert all(residual(p3p_system(), z1, x) <= 1e-8 for x in sols)
 
 
 def test_track_skips_invalid_start(capsys, tmp_path, p3p_track_files):
@@ -572,12 +613,15 @@ def test_ransac_trials_bad_table_range(capsys):
 # ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("flag", ["--stabilization", "--target-count"])
-def test_monodromy_invalid_run_option_exits_2(capsys, flag):
-    code, out, err = run_cli(capsys, "monodromy", "p3p", flag, "0")
+@pytest.mark.parametrize("flag, value, bound", [
+    pytest.param("--stabilization", "-1", ">= 0", id="--stabilization"),
+    pytest.param("--target-count", "0", ">= 1", id="--target-count"),
+])
+def test_monodromy_invalid_run_option_exits_2(capsys, flag, value, bound):
+    code, out, err = run_cli(capsys, "monodromy", "p3p", flag, value)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and "must be >= 1" in err
+    assert err.startswith("error: ") and f"must be {bound}" in err
 
 
 def test_track_mis_shaped_start_solution_exits_2(capsys, tmp_path, p3p_track_files):

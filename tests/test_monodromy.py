@@ -75,11 +75,12 @@ def test_registry_near_duplicates():
     assert reg.register(np.array([1.0 + 1e-3, -1.0]))[0] == 1
 
 
-def test_registry_equivalencer_classes():
-    reg = SolutionRegistry(equivalencer=lambda x: x[:1])
+def test_registry_deck_map_classes():
+    reg = SolutionRegistry(deck_map=lambda x: x * np.array([1.0, -1.0]))
     a, _ = reg.register(np.array([1.0, 5.0]))
-    b, is_new = reg.register(np.array([1.0, -99.0]))  # same first coordinate
+    b, is_new = reg.register(np.array([1.0, -5.0]))  # the deck image of the first
     assert a == b == 0 and not is_new
+    assert reg.find(np.array([1.0, -5.0])) == 0
     assert reg.register(np.array([2.0, 5.0]))[0] == 1
     # The stored representative is the first-seen full vector.
     assert np.array_equal(reg[0], [1.0, 5.0])
@@ -189,8 +190,9 @@ def test_run_correspondences_are_inverse_bijections():
 
 
 def test_run_saturation_mode():
-    graph, result = cubic_run(saturate=True)
-    assert result.stopped_by is StopReason.Saturation
+    # A stabilization limit of 0 stops the first time nothing is pending.
+    graph, result = cubic_run(stabilization_limit=0)
+    assert result.stopped_by is StopReason.Stabilization
     assert len(result.solutions) == 3
     # Saturated: every direction of every edge attempted everything known.
     for edge in graph.edges:
@@ -221,7 +223,7 @@ def test_run_stabilization_limit_bounds_loops():
 
 def test_run_options_validation():
     with pytest.raises(ValueError):
-        RunOptions(stabilization_limit=0)
+        RunOptions(stabilization_limit=-1)
     with pytest.raises(ValueError):
         RunOptions(target_count=0)
 
@@ -367,8 +369,8 @@ def test_derived_ids_count_toward_the_failure_rate(monkeypatch):
     edge.attempted_forward.update({0, 1})
     edge.audited = True
     monkeypatch.setattr(monodromy, "track", fake_track([None, None]))
-    result = run(graph, RunOptions(saturate=True))
-    assert result.stopped_by is StopReason.Saturation
+    result = run(graph, RunOptions(stabilization_limit=0))
+    assert result.stopped_by is StopReason.Stabilization
     assert (result.loops_run, result.paths_tracked, result.failures) == (1, 2, 2)
     assert edge.backward_map == {0: 0, 1: 1}
 

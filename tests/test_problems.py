@@ -22,7 +22,6 @@ from monogal.problems import (
     SingularCayley,
     cayley_rotation,
     essential_matrix,
-    fivepoint_equivalencer,
     fivepoint_fabricate,
     fivepoint_system,
     p3p_conic_solve,
@@ -286,14 +285,6 @@ def test_twisted_pair_isotropic_translation():
         twisted_pair(FivePointSolution(1j, 0.0, np.eye(3, dtype=complex)))
 
 
-def test_equivalencer_returns_translation_copy():
-    x = np.arange(11, dtype=complex)
-    key = fivepoint_equivalencer(x)
-    assert np.array_equal(key, [0.0, 1.0])
-    key[0] = 99.0
-    assert x[0] == 0.0
-
-
 # ------------------------------------------------------------
 # RanSaC trials
 # ------------------------------------------------------------
@@ -369,9 +360,10 @@ def test_ransac_trials_validation():
 
 def test_problem_registry_contents():
     assert set(PROBLEMS) == {"p3p", "fivepoint"}
-    assert PROBLEMS["p3p"].equivalencers == {}
-    assert set(PROBLEMS["fivepoint"].equivalencers) == {"translation"}
-    assert PROBLEMS["p3p"].deck_map is None
+    assert PROBLEMS["p3p"].classes == "sign"
+    assert PROBLEMS["fivepoint"].classes == "translation"
+    x = np.array([1.0, -2.0, 3.0j])
+    assert np.array_equal(PROBLEMS["p3p"].deck_map(x), -x)
     assert PROBLEMS["fivepoint"].deck_map is not None
 
 
