@@ -5,13 +5,14 @@ that draw random numbers (fabricate, monodromy, track) take --seed, and all
 their randomness flows from one generator seeded by it, so identical seeds
 and flags reproduce identical bytes on stdout and in written files, at any
 BLAS thread count for systems of up to 96 unknowns (see monogal.linalg).
-`monodromy --equivalencer NAME` solves modulo the problem's deck map, and
-NAME must be the problem's `classes` name (translation, sign).
+`monodromy --equivalencer NAME` reports the same run on the orbits of the
+problem's deck map; NAME must be the problem's `classes` (translation, sign).
 
-Exit codes: 0 success, 1 path failures in track, 2 bad input (unknown
-problem, parse error, unreadable or mis-shaped solutions JSON, invalid
-option or probability), 3 rank failure, 4 tracking collapse, 5 unsupported
-group (analysis output already written).
+Exit codes: 0 success (monodromy too, when it prints failures), 1 a failed
+start or path in track or a fabricate residual above 1e-8, 2 bad input
+(unknown problem, parse error, unreadable or mis-shaped solutions JSON,
+invalid option or probability), 3 rank failure, 4 tracking collapse (most
+paths of one loop failed), 5 unsupported group (analysis output written).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .monodromy import (
     RunOptions,
     SolutionRegistry,
     TrackFailureRate,
+    _deck_pairs,
     build_graph,
     decode_solutions,
     encode_solutions,
@@ -162,7 +164,7 @@ def cmd_monodromy(args) -> int:
     try:
         if sysm.num_outputs > sysm.num_unknowns:
             sysm = square_up(sysm, z0, x0, rng)
-        graph = build_graph(sysm, z0, x0, args.nodes, rng, deck_map=deck_map, classes=classes)
+        graph = build_graph(sysm, z0, x0, args.nodes, rng, deck_map=deck_map)
     except RankDeficient as exc:
         _err(f"rank failure: {exc}")
         return EXIT_RANK
@@ -179,23 +181,27 @@ def cmd_monodromy(args) -> int:
         _err(f"tracking collapse: {exc}")
         return EXIT_TRACKING
 
-    label = "classes" if classes else "solutions"
-    print(f"{label}: {len(result.solutions)}")
+    solutions, perms = result.solutions, result.permutations
+    if classes:
+        # The view on σ-orbits: representative c is full id 2c.
+        solutions = solutions[::2]
+        perms = [groupmod.Permutation([g(2 * c) // 2 for c in range(len(solutions))]) for g in perms]
+    print(f"{'classes' if classes else 'solutions'}: {len(solutions)}")
     print(f"loops: {result.loops_run}")
     print(f"paths: {result.paths_tracked}")
     print(f"failures: {result.failures}")
     print(f"stopped: {result.stopped_by.value}")
 
     if args.out_solutions is not None:
-        doc = encode_solutions(z0, result.solutions, _residuals(original, z0, result.solutions))
+        doc = encode_solutions(z0, solutions, _residuals(original, z0, solutions))
         Path(args.out_solutions).write_text(json.dumps(doc, indent=2) + "\n")
     if args.out_group is not None:
         # A run that closed no cycle still writes a readable script: the
         # identity generates its trivial group.
-        perms = result.permutations or [groupmod.Permutation.identity(len(result.solutions))]
-        Path(args.out_group).write_text(export_perm_script(perms) + "\n")
+        script = perms or [groupmod.Permutation.identity(len(solutions))]
+        Path(args.out_group).write_text(export_perm_script(script) + "\n")
 
-    return _report_group(groupmod.PermGroup(len(result.solutions), result.permutations), summary_blocks=True)
+    return _report_group(groupmod.PermGroup(len(solutions), perms), summary_blocks=True)
 
 
 def _report_group(G: groupmod.PermGroup, summary_blocks: bool,
@@ -281,15 +287,14 @@ def cmd_track(args) -> int:
             failures += 1
 
     if problem is not None and problem.deck_map is not None:
-        doubled = endpoints + [problem.deck_map(x) for x in endpoints]
-        # Polish against the full system: the deck map amplifies the tiny
-        # coordinate error the tracker leaves behind. A start file holding
-        # both members of a deck pair yields each endpoint twice; keep the
-        # first of each.
-        registry = SolutionRegistry()
-        for x in doubled:
-            registry.register(refine(full, z_target, x, iters=3).x)
-        endpoints = registry.vectors()
+        # One endpoint per σ-orbit, so a start file holding a deck pair does
+        # not yield it twice, each followed by its σ-image; both are polished
+        # against the full system, which the squared-up one leaves them short of.
+        orbits = SolutionRegistry(problem.deck_map)
+        for x in endpoints:
+            orbits.register(x)
+        endpoints = _deck_pairs(full, z_target, problem.deck_map, orbits.vectors())
+        endpoints[::2] = [refine(full, z_target, x, iters=3).x for x in endpoints[::2]]
 
     res_list = _residuals(full, z_target, endpoints)
     print(f"tracked: {len(starts) - failures}/{len(starts)}")
@@ -385,9 +390,10 @@ def _parser() -> argparse.ArgumentParser:
                    help="stop when nothing is pending and this many fresh random edges "
                         "found no new solution; 0 stops once every solution crossed every "
                         "edge (default 4)")
-    m.add_argument("--target-count", type=int, default=None, help="stop at this many solutions")
+    m.add_argument("--target-count", type=int, default=None,
+                   help="stop at this many solutions, counting both members of each deck pair")
     m.add_argument("--equivalencer", default=None,
-                   help="solve modulo the problem's deck map: translation (fivepoint), sign (p3p)")
+                   help="report the run on the deck map's orbits: translation (fivepoint), sign (p3p)")
     m.add_argument("--out-solutions", default=None, help="write solutions JSON here")
     m.add_argument("--out-group", default=None, help="write perm script here")
     m.add_argument("--verbose", action="store_true", help="print the graph's node and edge counts")

@@ -11,8 +11,9 @@ fiber. The monodromy action factors through the graph's fundamental group,
 which these cycles generate, so at most |E|-|V|+1 permutations generate the
 group of every closed walk from the base node over the usable edges.
 
-A problem's deck map σ enters through build_graph: in class mode every
-registry merges x with σ(x); otherwise run closes the base fiber under σ.
+A problem's deck map σ enters through build_graph: every registry holds one
+representative per σ-orbit, one path per orbit is tracked, and run lifts
+the fiber and the group through σ (see _track_batch).
 
 Paths run at the tracker's fixed settings and every registry merges
 vectors within one fixed relative tolerance, 1e-6; only the stopping rule
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import json
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -70,7 +71,7 @@ class SolutionRegistry:
     _DEDUP_TOLERANCE (1e-6) in the max-norm, normalized by (1 + the larger
     max-norm of the two). With a deck map σ, x also matches every entry that
     σ(x) matches, so the registry holds one representative, the first seen,
-    per class {x, σ(x)}. Ids follow assignment order and are never reused.
+    per orbit {x, σ(x)}. Ids follow assignment order and are never reused.
     """
 
     def __init__(self, deck_map: Callable[[np.ndarray], np.ndarray] | None = None):
@@ -88,13 +89,18 @@ class SolutionRegistry:
 
     def find(self, x: np.ndarray) -> int | None:
         """Id of the entry matching x (or σ(x)), or None."""
+        found = self.match(x)
+        return None if found is None else found[0]
+
+    def match(self, x: np.ndarray) -> tuple[int, int] | None:
+        """(id, f) of the entry that σ^f(x) matches, x itself first, or None."""
         x = np.asarray(x, dtype=complex).ravel()
         keys = [x] if self.deck_map is None else [x, self.deck_map(x)]
         for idx, stored in enumerate(self._solutions):
-            for key in keys:
+            for flip, key in enumerate(keys):
                 scale = 1.0 + max(float(np.abs(stored).max()), float(np.abs(key).max()))
                 if float(np.abs(stored - key).max()) <= _DEDUP_TOLERANCE * scale:
-                    return idx
+                    return idx, flip
         return None
 
     def __len__(self) -> int:
@@ -120,7 +126,8 @@ class BasePoint:
 class HomotopyEdge:
     """Segment homotopy between two nodes with correspondence bookkeeping.
 
-    forward_map sends from-node ids to to-node ids, backward_map the reverse.
+    forward_map sends from-node full ids to to-node full ids, backward_map
+    the reverse; the attempted sets hold registry ids, one per σ-orbit.
     The backward segment is the forward curve run in reverse, so an id that
     the opposite map already reaches is derived from that map's inverse
     instead of tracked. Derivation waits for an audit: the first derivable
@@ -150,7 +157,6 @@ class HomotopyGraph:
     edges: list[HomotopyEdge]
     rng: np.random.Generator
     deck_map: Callable[[np.ndarray], np.ndarray] | None = None
-    classes: bool = False
 
 
 class StopReason(enum.Enum):
@@ -208,8 +214,7 @@ def _sample_gamma_pair(rng: np.random.Generator) -> tuple[complex, complex]:
 
 def build_graph(sys: GateSystem, z0: np.ndarray, x0: np.ndarray, n_nodes: int,
                 rng: np.random.Generator,
-                deck_map: Callable[[np.ndarray], np.ndarray] | None = None,
-                classes: bool = False) -> HomotopyGraph:
+                deck_map: Callable[[np.ndarray], np.ndarray] | None = None) -> HomotopyGraph:
     """Complete graph over n_nodes generic instances, seeded with (z0, x0).
 
     Args:
@@ -218,8 +223,8 @@ def build_graph(sys: GateSystem, z0: np.ndarray, x0: np.ndarray, n_nodes: int,
         x0: a solution of sys at z0, residual at most 1e-8.
         n_nodes: number of base points, at least 2.
         rng: drives the fresh parameter draws and gamma pairs.
-        deck_map: the problem's deck symmetry σ on solution vectors, if any.
-        classes: solve modulo σ: every registry merges x with σ(x).
+        deck_map: the problem's deck symmetry σ on solution vectors, if any:
+            every registry then merges x with σ(x).
 
     Raises:
         ValueError: fewer than 2 nodes, wrong shapes, or a seed residual above 1e-8.
@@ -242,31 +247,25 @@ def build_graph(sys: GateSystem, z0: np.ndarray, x0: np.ndarray, n_nodes: int,
     if numerical_rank(jac) < n_unk:
         raise RankDeficient(f"Jacobian rank below {n_unk} at the seed solution")
 
-    merge = deck_map if classes else None
-    nodes = [BasePoint(0, z0, SolutionRegistry(merge))]
+    nodes = [BasePoint(0, z0, SolutionRegistry(deck_map))]
     nodes[0].registry.register(x0)
     for k in range(1, n_nodes):
         z = rng.standard_normal(len(z0)) + 1j * rng.standard_normal(len(z0))
-        nodes.append(BasePoint(k, z, SolutionRegistry(merge)))
+        nodes.append(BasePoint(k, z, SolutionRegistry(deck_map)))
     edges = []
     for a in range(n_nodes):
         for b in range(a + 1, n_nodes):
             edges.append(HomotopyEdge(len(edges), a, b, _sample_gamma_pair(rng)))
-    return HomotopyGraph(sys, nodes, edges, rng, deck_map, classes)
+    return HomotopyGraph(sys, nodes, edges, rng, deck_map)
 
 
 def _direction_units(graph: HomotopyGraph):
     # (pending ids, edge, forward?) for every edge direction: pending means
     # registered at the source but never sent across this direction.
-    units = []
-    for edge in graph.edges:
-        src = graph.nodes[edge.from_node].registry
-        pending = [i for i in range(len(src)) if i not in edge.attempted_forward]
-        units.append((pending, edge, True))
-        src = graph.nodes[edge.to_node].registry
-        pending = [i for i in range(len(src)) if i not in edge.attempted_backward]
-        units.append((pending, edge, False))
-    return units
+    return [([i for i in range(len(graph.nodes[node].registry)) if i not in attempted], edge, forward)
+            for edge in graph.edges
+            for node, attempted, forward in ((edge.from_node, edge.attempted_forward, True),
+                                             (edge.to_node, edge.attempted_backward, False))]
 
 
 def _add_random_edge(graph: HomotopyGraph) -> None:
@@ -281,28 +280,32 @@ def _add_random_edge(graph: HomotopyGraph) -> None:
 
 def _inverse(mapping: dict[int, int]) -> dict[int, int]:
     # Inverse of an edge map, leaving out targets that two ids reach.
-    inverse: dict[int, int] = {}
-    clashes = set()
-    for a, b in mapping.items():
-        if b in inverse:
-            clashes.add(b)
-        inverse[b] = a
-    for b in clashes:
-        del inverse[b]
-    return inverse
+    hits = Counter(mapping.values())
+    return {b: a for a, b in mapping.items() if hits[b] == 1}
+
+
+def _fiber_size(graph: HomotopyGraph, node_id: int) -> int:
+    # Full ids known at a node: each representative and, with σ, its image.
+    return len(graph.nodes[node_id].registry) * (1 if graph.deck_map is None else 2)
 
 
 def _track_batch(graph: HomotopyGraph, pending: list[int], edge: HomotopyEdge,
                  forward: bool) -> tuple[int, int, int]:
     """Sends pending ids across one edge direction.
 
+    The maps hold full ids. Without σ they are registry ids; with σ,
+    representative c is 2c and σ of it 2c+1, and a path from c that lands on
+    σ^f of representative j records 2c -> 2j+f and, as σ commutes with
+    monodromy, 2c+1 -> 2j+1-f.
+
     An id that the opposite direction maps back to takes its correspondence
     from that map's inverse once the edge is audited. Until then the first
-    such id is tracked as the audit: landing on the inverse's id audits the
-    edge, a failed path leaves the next candidate as the audit, and landing
-    on another id means a path jumped, so that id counts as a failure, gets
-    no correspondence, the opposite map loses the entry that predicted it,
-    and the rest of the batch is tracked.
+    such id is tracked as the audit, those whose inverse entry was lifted
+    (odd) first, so the audit also tests σ: landing on the inverse's id
+    audits the edge, a failed path leaves the next candidate as the audit,
+    and landing on another id means a path jumped, so that id counts as a
+    failure, gets no correspondence, the opposite map loses the entry that
+    predicted it, and the rest of the batch is tracked.
 
     A successful track is registered as it is: track reports Success only
     after refine measured a residual of at most 1e-7 at the segment's end,
@@ -310,37 +313,35 @@ def _track_batch(graph: HomotopyGraph, pending: list[int], edge: HomotopyEdge,
     could fail.
 
     Returns (paths tracked, failures, newly registered)."""
-    if forward:
-        src = graph.nodes[edge.from_node]
-        dst = graph.nodes[edge.to_node]
-        g0, g1 = edge.gamma_pair
-        corr, attempted = edge.forward_map, edge.attempted_forward
-        opposite = edge.backward_map
-    else:
-        src = graph.nodes[edge.to_node]
-        dst = graph.nodes[edge.from_node]
-        g1, g0 = edge.gamma_pair
-        corr, attempted = edge.backward_map, edge.attempted_backward
-        opposite = edge.forward_map
+    src, dst = graph.nodes[edge.from_node], graph.nodes[edge.to_node]
+    g0, g1 = edge.gamma_pair
+    corr, attempted, opposite = edge.forward_map, edge.attempted_forward, edge.backward_map
+    if not forward:
+        src, dst, g0, g1 = dst, src, g1, g0
+        corr, attempted, opposite = opposite, edge.attempted_backward, corr
+    width = 1 if graph.deck_map is None else 2
     inverse = _inverse(opposite)
+    order = sorted(pending, key=lambda sid: (width == 1 or inverse.get(2 * sid, 0) % 2 == 0, sid))
     seg = PathSegment(src.z, dst.z, g0, g1)
     paths = 0
     failures = 0
     new_count = 0
-    for sid in sorted(pending):
+    for sid in order:
         attempted.add(sid)
-        known = inverse.get(sid)
+        known = inverse.get(width * sid)
         if known is not None and edge.audited:
-            corr[sid] = known
+            corr.update({width * sid + k: known ^ k for k in range(width)})
             continue
         paths += 1
         result = track(graph.system, seg, src.registry[sid])
         if not result.success:
             failures += 1
             continue
-        dst_id, is_new = dst.registry.register(result.endpoint)
-        if is_new:
+        found = dst.registry.match(result.endpoint)
+        if found is None:
+            found = dst.registry.register(result.endpoint)[0], 0
             new_count += 1
+        dst_id = width * found[0] + found[1]
         if known is not None:
             if dst_id != known:
                 # This path or the one behind the inverse jumped. Neither
@@ -351,15 +352,15 @@ def _track_batch(graph: HomotopyGraph, pending: list[int], edge: HomotopyEdge,
                 inverse = {}
                 continue
             edge.audited = True
-        corr[sid] = dst_id
+        corr.update({width * sid + k: dst_id ^ k for k in range(width)})
     return paths, failures, new_count
 
 
 def _edge_bijection(graph: HomotopyGraph, edge: HomotopyEdge, n: int) -> Permutation | None:
     # The edge's correspondence, from-node ids to to-node ids, when the edge
-    # is usable: both registries hold n ids, one map is a bijection and the
+    # is usable: both nodes know n full ids, one map is a bijection and the
     # other map contradicts it nowhere.
-    if len(graph.nodes[edge.from_node].registry) != n or len(graph.nodes[edge.to_node].registry) != n:
+    if _fiber_size(graph, edge.from_node) != n or _fiber_size(graph, edge.to_node) != n:
         return None
     for table, other in ((edge.forward_map, edge.backward_map), (edge.backward_map, edge.forward_map)):
         if len(table) == n and set(table.values()) == set(range(n)) \
@@ -379,7 +380,7 @@ def _extract_permutations(graph: HomotopyGraph) -> list[Permutation]:
     goes to u along the tree, across the edge, and back from v along the
     tree. That gives at most |E|-|V|+1 permutations, in edge-id order.
     """
-    n = len(graph.nodes[0].registry)
+    n = _fiber_size(graph, 0)
     usable = []
     adjacency: dict[int, list] = {node.node_id: [] for node in graph.nodes}  # (edge, neighbour, map)
     for edge in graph.edges:
@@ -402,14 +403,11 @@ def _extract_permutations(graph: HomotopyGraph) -> list[Permutation]:
             for edge, perm in usable if edge.from_node in label and edge.edge_id not in tree]
 
 
-def _add_deck_images(graph: HomotopyGraph) -> bool:
-    # Registers σ of each base solution that the base fiber lacks, polished
-    # at the base parameters; returns whether there was any.
-    base = graph.nodes[0]
-    missing = [y for y in map(graph.deck_map, base.registry.vectors()) if base.registry.find(y) is None]
-    for y in missing:
-        base.registry.register(refine(graph.system, base.z, y, iters=3).x)
-    return bool(missing)
+def _deck_pairs(sys: GateSystem, z: np.ndarray, deck_map: Callable[[np.ndarray], np.ndarray],
+                reps: Iterable[np.ndarray]) -> list[np.ndarray]:
+    # Each representative followed by σ of it, polished by refine at z: σ
+    # amplifies the small coordinate error a tracked endpoint carries.
+    return [y for x in reps for y in (x, refine(sys, z, deck_map(x), iters=3).x)]
 
 
 def run(graph: HomotopyGraph, opts: RunOptions | None = None) -> MonodromyResult:
@@ -424,8 +422,9 @@ def run(graph: HomotopyGraph, opts: RunOptions | None = None) -> MonodromyResult
     nothing is pending, a fresh random-gamma edge keeps the exploration
     going; the run stops by stabilization when nothing is pending and
     opts.stabilization_limit fresh edges have been added since the last new
-    solution. Outside class mode, a stop first registers the σ-images the
-    base fiber lacks, since loops can each keep one member of every σ-pair.
+    solution. With σ, the target count and the result count full
+    solutions: each representative is followed by σ of it, polished by
+    refine at the base parameters, and the permutations act on these ids.
 
     Raises:
         TrackFailureRate: more than half the ids that one multi-id loop sent
@@ -440,15 +439,13 @@ def run(graph: HomotopyGraph, opts: RunOptions | None = None) -> MonodromyResult
     fresh_edges = 0
     stopped_by = None
     while True:
-        if opts.target_count is not None and len(base) >= opts.target_count:
+        if opts.target_count is not None and _fiber_size(graph, 0) >= opts.target_count:
             stopped_by = StopReason.TargetCount
             break
         units = _direction_units(graph)
         pending, edge, forward = max(units, key=lambda u: (len(u[0]), -u[1].edge_id, u[2]))
         if not pending:
             if fresh_edges >= opts.stabilization_limit:
-                if graph.deck_map is not None and not graph.classes and _add_deck_images(graph):
-                    continue
                 stopped_by = StopReason.Stabilization
                 break
             _add_random_edge(graph)
@@ -467,14 +464,10 @@ def run(graph: HomotopyGraph, opts: RunOptions | None = None) -> MonodromyResult
         if n_new > 0:
             fresh_edges = 0
     perms = _extract_permutations(graph)
-    return MonodromyResult(
-        solutions=base.vectors(),
-        permutations=perms,
-        loops_run=loops,
-        paths_tracked=paths,
-        failures=failures,
-        stopped_by=stopped_by,
-    )
+    solutions = base.vectors()
+    if graph.deck_map is not None:
+        solutions = _deck_pairs(graph.system, graph.nodes[0].z, graph.deck_map, solutions)
+    return MonodromyResult(solutions, perms, loops, paths, failures, stopped_by)
 
 
 def export_perm_script(perms: Sequence[Permutation]) -> str:

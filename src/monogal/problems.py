@@ -530,8 +530,9 @@ class Problem:
 
     deck_map is the problem's declared deck symmetry σ on solution vectors:
     it sends a solution to another solution of the same instance (None when
-    the problem declares none). classes is the `--equivalencer` name under
-    which monodromy solves modulo σ.
+    the problem declares none). σ must be a fixed-point-free involution,
+    since monodromy tracks one path per orbit {x, σ(x)}. classes names the
+    `--equivalencer` view of a run on those orbits.
     """
 
     name: str

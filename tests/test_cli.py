@@ -108,13 +108,14 @@ def test_monodromy_p3p_golden_stdout(capsys):
     # Captured before the tracker's linear solve moved from scipy's wrappers
     # to direct LAPACK calls; any change to a tracked bit can move these counts.
     # loops and paths were re-captured when reverse correspondences began to
-    # be derived and stabilization began to count fresh edges.
+    # be derived and stabilization began to count fresh edges, and again when
+    # one path per σ-orbit began to be tracked.
     code, out, _ = run_cli(capsys, "monodromy", "p3p", "--seed", "1")
     assert code == 0
     assert out == (
         "solutions: 8\n"
-        "loops: 59\n"
-        "paths: 126\n"
+        "loops: 47\n"
+        "paths: 70\n"
         "failures: 0\n"
         "stopped: stabilization\n"
         "order: 192\n"
@@ -144,10 +145,12 @@ def test_monodromy_p3p_no_early_stop_at_six_solutions(capsys, seed):
     assert "order: 192" in out
 
 
+# The p3p digests were re-captured when one path per σ-orbit began to be
+# tracked and the fiber to be lifted through σ.
 SOLUTIONS_FILE_DIGESTS = [
-    (["p3p", "--seed", "1"], "52e40c9db3d21f969b00195f7e11f58bd8e16d5d3d43ce8316bdbc4b5ca47e00"),
-    (["p3p", "--seed", "2"], "ce9132aabc0ec9037244541b94cc025ef0f8d6d901c5307b532c8a97431279dd"),
-    (["p3p", "--seed", "3"], "11611c8ba3d99fe0d6d9f0f27d8f83c3b5365e4c6d608b0584feb88d7f318738"),
+    (["p3p", "--seed", "1"], "611f6ce5aebf6f13b18ffdbe2834650afea31f04e84b972f3be9b6e4867bee4b"),
+    (["p3p", "--seed", "2"], "178af3bb3efc9f6f121b32f36f336a06e735fd77bc7e6f6741480271f1ee110b"),
+    (["p3p", "--seed", "3"], "8dbc7fd560a59f1783d5a062ba8d9bdda36797e94858ae5a74ecc95bf1a3af30"),
     (["fivepoint", "--seed", "1", "--equivalencer", "translation"],
      "98f03518da0eab73fdb3018b060a2dd1e2ffd5876bf4b9899d45e9bffcf11179"),
 ]
@@ -178,15 +181,23 @@ def test_monodromy_runs_without_scipy():
     assert "order: 192\n" in out
 
 
-@pytest.mark.parametrize("target_count, solutions, blocks", [("1", 1, "none"), ("2", 6, "not transitive")])
-def test_monodromy_out_group_without_permutations_reads_back(capsys, tmp_path, target_count, solutions, blocks):
+# A σ run starts with the seed and its image, so it meets a target of 1 or 2
+# before it tracks a path; the sign view of that run has one class.
+@pytest.mark.parametrize("view, target_count, solutions, blocks", [
+    (None, "1", 2, "not transitive"),
+    (None, "2", 2, "not transitive"),
+    ("sign", "1", 1, "none"),
+])
+def test_monodromy_out_group_without_permutations_reads_back(capsys, tmp_path, view, target_count,
+                                                             solutions, blocks):
     # These runs close no cycle; the script holds the identity on the fiber,
     # so group reports what monodromy reported.
     group_path = tmp_path / "group.txt"
+    view_args = [] if view is None else ["--equivalencer", view]
     code, out, _ = run_cli(capsys, "monodromy", "p3p", "--seed", "1", "--target-count", target_count,
-                           "--out-group", str(group_path))
+                           *view_args, "--out-group", str(group_path))
     assert code == 0
-    assert f"solutions: {solutions}" in out
+    assert f"{'solutions' if view is None else 'classes'}: {solutions}" in out
     assert group_path.read_text() == f"p0:= PermList([{', '.join(str(i + 1) for i in range(solutions))}]);\nG:=Group(p0);\n"
     code, group_out, _ = run_cli(capsys, "group", str(group_path))
     assert code == 0

@@ -18,6 +18,7 @@ from monogal.monodromy import (
     export_perm_script,
     run,
 )
+from monogal.problems import PROBLEMS
 from monogal.slp import RankDeficient, SystemBuilder
 from monogal.tracker import TrackResult, TrackStatus
 
@@ -81,6 +82,10 @@ def test_registry_deck_map_classes():
     b, is_new = reg.register(np.array([1.0, -5.0]))  # the deck image of the first
     assert a == b == 0 and not is_new
     assert reg.find(np.array([1.0, -5.0])) == 0
+    # The registry reports which member of the pair matched: x or σ(x).
+    assert reg.match(np.array([1.0, 5.0])) == (0, 0)
+    assert reg.match(np.array([1.0, -5.0])) == (0, 1)
+    assert reg.match(np.array([7.0, 5.0])) is None
     assert reg.register(np.array([2.0, 5.0]))[0] == 1
     # The stored representative is the first-seen full vector.
     assert np.array_equal(reg[0], [1.0, 5.0])
@@ -331,6 +336,66 @@ def test_audit_landing_on_another_id_counts_a_failure(monkeypatch):
     # neither map can become a bijection and the edge feeds no permutation.
     assert edge.forward_map == {1: 1}
     assert monodromy._edge_bijection(graph, edge, 2) is None
+
+
+def quartic_system():
+    # Even in x, so σ(x) = -x sends roots to roots.
+    b = SystemBuilder(parameters=("z1", "z2"), unknowns=("x",))
+    x = b.unknown("x")
+    return b.finish([x ** 4 + b.param("z1") * x ** 2 + b.param("z2")])
+
+
+def test_audit_landing_away_from_a_lifted_entry_counts_a_failure(monkeypatch):
+    # x^4 = 16 with σ = -x: node 0 holds representatives 2 (full ids 0, 1)
+    # and 2i (full ids 2, 3). Forward, 2 went to node 1's representative 0
+    # and 2i to σ of its representative 1, so the lifted entry 3 -> 2 says
+    # -2i returns to node 1's full id 2.
+    graph = build_graph(quartic_system(), np.array([0.0, -16.0]), np.array([2.0]), 2,
+                        np.random.default_rng(3), deck_map=np.negative)
+    edge = graph.edges[0]
+    node0, node1 = graph.nodes
+    node0.registry.register(np.array([2j]))
+    node1.registry.register(np.array([1.0 + 1j]))
+    node1.registry.register(np.array([3.0]))
+    edge.forward_map.update({0: 0, 1: 1, 2: 3, 3: 2})
+    edge.attempted_forward.update({0, 1})
+    # Node 1's representative 1 is the audit, ahead of representative 0,
+    # because its inverse entry is the lifted one. It lands on 2i, not on
+    # -2i: σ did not commute, so representative 0 is tracked too.
+    monkeypatch.setattr(monodromy, "track", fake_track([[2j], [2.0]]))
+    paths, failures, new = monodromy._track_batch(graph, [0, 1], edge, False)
+    assert (paths, failures, new) == (2, 1, 0)
+    assert not edge.audited
+    assert edge.backward_map == {0: 0, 1: 1}
+    assert edge.forward_map == {0: 0, 1: 1, 2: 3}
+    assert monodromy._edge_bijection(graph, edge, 4) is None
+    assert monodromy._extract_permutations(graph) == []
+
+
+def test_lifted_p3p_group_matches_a_run_that_tracks_every_path():
+    # Same instance and graph draws; one run tracks one path per σ-orbit and
+    # lifts, the other tracks every path.
+    problem = PROBLEMS["p3p"]
+    results = []
+    for deck_map in (problem.deck_map, None):
+        rng = np.random.default_rng(1)
+        z0, x0 = problem.fabricate(rng)
+        results.append(run(build_graph(problem.build_system(), z0, x0, 5, rng, deck_map=deck_map)))
+    lifted, full = results
+    assert len(lifted.solutions) == len(full.solutions) == 8
+    assert lifted.paths_tracked < full.paths_tracked
+    # Solution k of the lifted run is solution to_full[k] of the full run.
+    to_full = [int(np.argmin([np.abs(x - y).max() for y in full.solutions])) for x in lifted.solutions]
+    assert sorted(to_full) == list(range(8))
+    for x, k in zip(lifted.solutions, to_full):
+        assert np.abs(x - full.solutions[k]).max() <= 1e-6
+    from_full = [to_full.index(k) for k in range(8)]
+    groups = PermGroup(8, lifted.permutations), PermGroup(8, full.permutations)
+    assert groups[0].order() == groups[1].order() == 192
+    for g in lifted.permutations:
+        assert groups[1].contains(Permutation([to_full[g(from_full[k])] for k in range(8)]))
+    for g in full.permutations:
+        assert groups[0].contains(Permutation([from_full[g(to_full[k])] for k in range(8)]))
 
 
 def test_inverse_leaves_out_targets_two_ids_reach():

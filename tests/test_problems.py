@@ -279,6 +279,17 @@ def test_fivepoint_deck_map_is_the_twisted_pair_on_vectors():
     assert np.array_equal(twin, twisted_pair(sol).as_vector())
 
 
+@pytest.mark.parametrize("name", ["p3p", "fivepoint"])
+def test_deck_map_is_a_fixed_point_free_involution(name):
+    problem = PROBLEMS[name]
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        _, x = problem.fabricate(rng)
+        image = problem.deck_map(x)
+        assert np.abs(problem.deck_map(image) - x).max() <= 1e-12
+        assert np.abs(image - x).max() > 1e-3
+
+
 def test_twisted_pair_isotropic_translation():
     # t = (i, 0, 1) has t.t = 0.
     with pytest.raises(IsotropicTranslation):
