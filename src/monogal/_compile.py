@@ -111,9 +111,7 @@ class CompiledSystem:
 
     def _eval(self, z: np.ndarray, x: np.ndarray, v: np.ndarray | None, jac: bool) -> tuple:
         if self._base is None:
-            # list(v) keeps v's entries numpy scalars, as the pinned bits of
-            # the direction derivative were recorded with.
-            return self._fn(z.tolist(), x.tolist(), None if v is None else list(v), jac)
+            return self._fn(z.tolist(), x.tolist(), None if v is None else v.tolist(), jac)
         return tuple(None if a is None else self._coeffs @ a for a in self._base._eval(z, x, v, jac))
 
     def value(self, z: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -12,7 +12,8 @@ Exit codes: 0 success (monodromy too, when it prints failures), 1 a failed
 start or path in track or a fabricate residual above 1e-8, 2 bad input
 (unknown problem, parse error, unreadable or mis-shaped solutions JSON,
 invalid option or probability), 3 rank failure, 4 tracking collapse (most
-paths of one loop failed), 5 unsupported group (analysis output written).
+paths of one loop failed, or a σ-image failed its check), 5 unsupported
+group (analysis output written).
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from . import groups as groupmod
 from .monodromy import (
     MonodromyResult,
     RunOptions,
-    SolutionRegistry,
     TrackFailureRate,
     _deck_pairs,
+    _sample_gamma_pair,
     build_graph,
     decode_solutions,
     encode_solutions,
@@ -39,7 +40,7 @@ from .monodromy import (
 )
 from .problems import PROBLEMS, InvalidProbability, NoInlierSample, ransac_trials
 from .slp import GateSystem, ParseError, RankDeficient, parse_system, residual, square_up
-from .tracker import PathSegment, refine, track
+from .tracker import PathSegment, track
 
 EXIT_OK = 0
 EXIT_PATH_FAILURES = 1
@@ -58,10 +59,6 @@ def _write_or_print(text: str, path: str | None) -> None:
         print(text)
     else:
         Path(path).write_text(text)
-
-
-def _residuals(sysm: GateSystem, z: np.ndarray, sols) -> list[float]:
-    return [residual(sysm, z, np.asarray(x)) for x in sols]
 
 
 # ------------------------------------------------------------
@@ -177,7 +174,7 @@ def cmd_monodromy(args) -> int:
 
     try:
         result = run(graph, opts)
-    except TrackFailureRate as exc:
+    except (TrackFailureRate, ValueError) as exc:  # ValueError: see _deck_pairs
         _err(f"tracking collapse: {exc}")
         return EXIT_TRACKING
 
@@ -193,7 +190,7 @@ def cmd_monodromy(args) -> int:
     print(f"stopped: {result.stopped_by.value}")
 
     if args.out_solutions is not None:
-        doc = encode_solutions(z0, solutions, _residuals(original, z0, solutions))
+        doc = encode_solutions(z0, solutions, [residual(original, z0, x) for x in solutions])
         Path(args.out_solutions).write_text(json.dumps(doc, indent=2) + "\n")
     if args.out_group is not None:
         # A run that closed no cycle still writes a readable script: the
@@ -270,40 +267,34 @@ def cmd_track(args) -> int:
             _err(f"rank failure: {exc}")
             return EXIT_RANK
 
-    g0, g1 = np.exp(2j * np.pi * rng.random(2))
-    seg = PathSegment(z_start, z_target, complex(g0), complex(g1))
+    # A monodromy edge's gamma draw, which keeps the homotopy denominator off 0.
+    seg = PathSegment(z_start, z_target, *_sample_gamma_pair(rng))
     endpoints = []
-    failures = 0
     for x in starts:
         try:
             result = track(sysm, seg, x)
-        except ValueError:
-            # Not a solution at the segment start: a failed start.
-            failures += 1
+        except ValueError:  # not a solution at the segment start: a failed start
             continue
         if result.success:
             endpoints.append(result.endpoint)
-        else:
-            failures += 1
+    tracked = len(endpoints)
 
     if problem is not None and problem.deck_map is not None:
-        # One endpoint per σ-orbit, so a start file holding a deck pair does
-        # not yield it twice, each followed by its σ-image; both are polished
-        # against the full system, which the squared-up one leaves them short of.
-        orbits = SolutionRegistry(problem.deck_map)
-        for x in endpoints:
-            orbits.register(x)
-        endpoints = _deck_pairs(full, z_target, problem.deck_map, orbits.vectors())
-        endpoints[::2] = [refine(full, z_target, x, iters=3).x for x in endpoints[::2]]
+        # One endpoint per σ-orbit (a start file may hold a deck pair), then its σ-image.
+        try:
+            endpoints = _deck_pairs(sysm, z_target, problem.deck_map, endpoints)
+        except ValueError as exc:
+            _err(f"tracking collapse: {exc}")
+            return EXIT_TRACKING
 
-    res_list = _residuals(full, z_target, endpoints)
-    print(f"tracked: {len(starts) - failures}/{len(starts)}")
+    res_list = [residual(full, z_target, x) for x in endpoints]
+    print(f"tracked: {tracked}/{len(starts)}")
     print(f"solutions: {len(endpoints)}")
     if res_list:
         print(f"max residual: {max(res_list):.15e}")
     doc = encode_solutions(z_target, endpoints, res_list)
     _write_or_print(json.dumps(doc, indent=2) + ("" if args.out is None else "\n"), args.out)
-    return EXIT_OK if failures == 0 else EXIT_PATH_FAILURES
+    return EXIT_OK if tracked == len(starts) else EXIT_PATH_FAILURES
 
 
 # ------------------------------------------------------------

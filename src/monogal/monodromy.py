@@ -56,6 +56,11 @@ __all__ = [
 _DEDUP_TOLERANCE = 1e-6
 
 
+def _same_solution(a: np.ndarray, b: np.ndarray) -> bool:
+    scale = 1.0 + max(float(np.abs(a).max()), float(np.abs(b).max()))
+    return float(np.abs(a - b).max()) <= _DEDUP_TOLERANCE * scale
+
+
 class TrackFailureRate(ArithmeticError):
     """Over half the paths in one loop failed; tolerances or base points are bad."""
 
@@ -98,8 +103,7 @@ class SolutionRegistry:
         keys = [x] if self.deck_map is None else [x, self.deck_map(x)]
         for idx, stored in enumerate(self._solutions):
             for flip, key in enumerate(keys):
-                scale = 1.0 + max(float(np.abs(stored).max()), float(np.abs(key).max()))
-                if float(np.abs(stored - key).max()) <= _DEDUP_TOLERANCE * scale:
+                if _same_solution(stored, key):
                     return idx, flip
         return None
 
@@ -308,9 +312,7 @@ def _track_batch(graph: HomotopyGraph, pending: list[int], edge: HomotopyEdge,
     predicted it, and the rest of the batch is tracked.
 
     A successful track is registered as it is: track reports Success only
-    after refine measured a residual of at most 1e-7 at the segment's end,
-    which is dst.z, with the same compiled evaluator, so no re-check here
-    could fail.
+    after its endpoint polish measured a residual of at most 1e-7 at dst.z.
 
     Returns (paths tracked, failures, newly registered)."""
     src, dst = graph.nodes[edge.from_node], graph.nodes[edge.to_node]
@@ -405,9 +407,21 @@ def _extract_permutations(graph: HomotopyGraph) -> list[Permutation]:
 
 def _deck_pairs(sys: GateSystem, z: np.ndarray, deck_map: Callable[[np.ndarray], np.ndarray],
                 reps: Iterable[np.ndarray]) -> list[np.ndarray]:
-    # Each representative followed by σ of it, polished by refine at z: σ
-    # amplifies the small coordinate error a tracked endpoint carries.
-    return [y for x in reps for y in (x, refine(sys, z, deck_map(x), iters=3).x)]
+    # The first x of each σ-orbit in reps, then σ(x) polished by refine at z on
+    # the tracked square system, as σ amplifies a tracked endpoint's error.
+    # Unless the image solves sys to track's 1e-7 bar and is σ(x) by the
+    # registry's rule one way round (an ill-conditioned x or image fails the
+    # other), σ is no deck map of sys: ValueError.
+    orbits, pairs = SolutionRegistry(deck_map), []
+    for x in reps:
+        if not orbits.register(x)[1]:
+            continue
+        y = deck_map(x)
+        image, res = refine(sys, z, y, iters=3)
+        if not (res <= 1e-7 and (_same_solution(image, y) or _same_solution(deck_map(image), x))):
+            raise ValueError(f"polished σ(x) is not a solution matching σ(x) (residual {res:.3e})")
+        pairs += [x, image]
+    return pairs
 
 
 def run(graph: HomotopyGraph, opts: RunOptions | None = None) -> MonodromyResult:
@@ -429,6 +443,7 @@ def run(graph: HomotopyGraph, opts: RunOptions | None = None) -> MonodromyResult
     Raises:
         TrackFailureRate: more than half the ids that one multi-id loop sent
             (tracked or derived) failed.
+        ValueError: a polished σ-image is not σ of its solution (_deck_pairs).
     """
     if opts is None:
         opts = RunOptions()

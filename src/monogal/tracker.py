@@ -12,9 +12,9 @@ otherwise. Solutions are continued along phi by integrating the Davidenko ODE
 with a 4th-order Runge-Kutta predictor and a Newton corrector at fixed t,
 growing the step by 1.5 after an accepted step and halving it after a
 rejected one. Each RK4 stage makes one call to the system's generated
-evaluator, which returns df/dx and (df/dz) phi'(t) from one pass. Endpoints
-are polished by a few extra Newton steps. Step sizes, tolerances and
-budgets are fixed module constants, not options.
+evaluator, which returns df/dx and (df/dz) phi'(t) from one pass. One Newton
+loop is the corrector, the endpoint polish and refine, on square systems.
+Step sizes, tolerances and budgets are fixed module constants, not options.
 Tracking is deterministic: identical inputs produce identical results bit
 for bit, at any BLAS thread count for systems of up to 96 unknowns (see
 monogal.linalg).
@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._compile import compiled_for
+from ._compile import CompiledSystem, compiled_for
 from .linalg import SingularMatrix, lu_solve
 from .slp import EvaluationSingular, GateSystem
 
@@ -162,27 +162,33 @@ def _maxabs(v: np.ndarray) -> float:
     return float(np.abs(v).max()) if v.size else 0.0
 
 
-def refine(sys: GateSystem, z, x, iters: int) -> RefineOutcome:
-    """Newton-polishes x against sys at fixed parameters z.
+def _require_square(sys: GateSystem) -> None:
+    if sys.num_outputs != sys.num_unknowns:
+        raise ValueError(f"system is not square: {sys.num_outputs} outputs, {sys.num_unknowns} unknowns")
 
-    Square systems take exact Newton steps; overdetermined ones take
-    Gauss-Newton steps through a least-squares solve. Stops early once the
-    residual is at rounding level. Returns the last iterate together with
-    its final residual (max absolute output value). SingularMatrix from the
-    Jacobian solve propagates.
-    """
-    z = np.asarray(z, dtype=complex)
-    x = np.array(x, dtype=complex)
-    comp = compiled_for(sys)
-    square = sys.num_outputs == sys.num_unknowns
-    res = comp.residual(z, x)
+
+def _newton(comp: CompiledSystem, z: np.ndarray, x: np.ndarray, iters: int, tol: float | None = None) -> RefineOutcome:
+    # One value_and_jac per step until max|f| <= tol (None: rounding level,
+    # 1e-15 * (1 + max|x|)); after the last step, that iterate's residual alone.
     for _ in range(iters):
-        if res <= 1e-15 * (1.0 + _maxabs(x)):
-            break
         f, jac, _ = comp.value_and_jac(z, x)
-        x = x + (lu_solve(jac, -f) if square else np.linalg.lstsq(jac, -f, rcond=None)[0])
-        res = comp.residual(z, x)
-    return RefineOutcome(x, res)
+        res = _maxabs(f)
+        if res <= (1e-15 * (1.0 + _maxabs(x)) if tol is None else tol):
+            return RefineOutcome(x, res)
+        x = x + lu_solve(jac, -f)
+    return RefineOutcome(x, comp.residual(z, x))
+
+
+def refine(sys: GateSystem, z, x, iters: int) -> RefineOutcome:
+    """Newton-polishes x against the square system sys at fixed parameters z.
+
+    At most iters steps of the corrector's loop, stopping early at rounding
+    level. Returns the last iterate and its residual (max absolute output
+    value). SingularMatrix from the Jacobian solve propagates; a system that
+    is not square raises ValueError (square an overdetermined one up first).
+    """
+    _require_square(sys)
+    return _newton(compiled_for(sys), np.asarray(z, dtype=complex), np.array(x, dtype=complex), iters)
 
 
 def track(sys: GateSystem, seg: PathSegment, x_start) -> TrackResult:
@@ -203,8 +209,7 @@ def track(sys: GateSystem, seg: PathSegment, x_start) -> TrackResult:
             have the wrong shape, or x_start is not a solution (a NaN
             residual included).
     """
-    if sys.num_outputs != sys.num_unknowns:
-        raise ValueError(f"system is not square: {sys.num_outputs} outputs, {sys.num_unknowns} unknowns")
+    _require_square(sys)
     x = np.asarray(x_start, dtype=complex)
     if x.shape != (sys.num_unknowns,):
         raise ValueError(f"start point shape {x.shape} does not match {sys.num_unknowns} unknowns")
@@ -212,8 +217,7 @@ def track(sys: GateSystem, seg: PathSegment, x_start) -> TrackResult:
         raise ValueError(f"segment parameter shape {seg.z_start.shape} does not match "
                          f"the system's ({sys.num_parameters},)")
     comp = compiled_for(sys)
-    z0 = path_point(seg, 0.0)
-    if not comp.residual(z0, x) <= 1e-6:  # also rejects NaN
+    if not comp.residual(seg.z_start, x) <= 1e-6:  # also rejects NaN
         raise ValueError("x_start is not a solution at the segment start (residual > 1e-6)")
 
     t = 0.0
@@ -230,7 +234,6 @@ def track(sys: GateSystem, seg: PathSegment, x_start) -> TrackResult:
             return TrackResult(TrackStatus.MaxStepsReached, x, steps, t)
         steps += 1
         h_eff = min(h, 1.0 - t)
-        accepted = False
         try:
             # RK4 predictor.
             k1 = rhs(t, x)
@@ -241,15 +244,8 @@ def track(sys: GateSystem, seg: PathSegment, x_start) -> TrackResult:
             # Newton corrector at fixed t + h_eff.
             t_new = 1.0 if h_eff >= 1.0 - t else t + h_eff
             z_new = path_point(seg, t_new)
-            x_corr = x_pred
-            for _ in range(_MAX_CORRECTOR_ITERS):
-                f, jac, _ = comp.value_and_jac(z_new, x_corr)
-                if _maxabs(f) <= _CORRECTOR_TOL:
-                    accepted = True
-                    break
-                x_corr = x_corr + lu_solve(jac, -f)
-            else:
-                accepted = comp.residual(z_new, x_corr) <= _CORRECTOR_TOL
+            x_corr, res = _newton(comp, z_new, x_pred, _MAX_CORRECTOR_ITERS, _CORRECTOR_TOL)
+            accepted = res <= _CORRECTOR_TOL
         except (SingularMatrix, EvaluationSingular, DegeneratePath):
             accepted = False
 
@@ -266,7 +262,7 @@ def track(sys: GateSystem, seg: PathSegment, x_start) -> TrackResult:
 
     # Endpoint refinement at the exact target parameters.
     try:
-        x, res = refine(sys, seg.z_end, x, _ENDPOINT_REFINE_ITERS)
+        x, res = _newton(comp, seg.z_end, x, _ENDPOINT_REFINE_ITERS)
     except (SingularMatrix, EvaluationSingular):
         return TrackResult(TrackStatus.SingularEndpoint, x, steps, 1.0)
     if res <= 10.0 * _CORRECTOR_TOL and _maxabs(x) <= _DIVERGENCE_BOUND:

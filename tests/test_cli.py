@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -11,7 +12,13 @@ from conftest import run_python
 from monogal import cli
 from monogal.cli import main
 from monogal.groups import parse_perm_script
-from monogal.monodromy import SolutionRegistry, TrackFailureRate, decode_solutions, encode_solutions
+from monogal.monodromy import (
+    SolutionRegistry,
+    TrackFailureRate,
+    _segment_min_distance,
+    decode_solutions,
+    encode_solutions,
+)
 from monogal.problems import (
     fivepoint_fabricate,
     p3p_conic_solve,
@@ -21,6 +28,7 @@ from monogal.problems import (
     twisted_pair,
 )
 from monogal.slp import residual
+from monogal.tracker import PathSegment
 
 
 def run_cli(capsys, *argv):
@@ -298,6 +306,25 @@ def test_monodromy_p3p_closes_the_base_fiber_under_the_deck_map(capsys):
     assert "even: true" in out.splitlines()
 
 
+def test_monodromy_lifts_an_ill_conditioned_representative(capsys):
+    # One representative has |x| = 206 and a Jacobian condition number near
+    # 1e9, so σ of it lies 1.4e-5 (relative) from the image its polish
+    # reaches, but σ of that image is 1.6e-8 from x: the lift accepts either.
+    code, out, _ = run_cli(capsys, "monodromy", "fivepoint", "--seed", "1906206968", "--equivalencer", "translation")
+    assert code == 0
+    assert out.startswith("classes: 10\n")
+
+
+def test_monodromy_reports_a_lift_that_fails_its_check(capsys):
+    # Three registry entries hold one solution near infinity (|x| = 599,
+    # Jacobian condition number 9e9) apart by more than the 1e-6 tolerance;
+    # unchecked, the run printed 13 classes, order 1 and exit 0.
+    code, out, err = run_cli(capsys, "monodromy", "fivepoint", "--seed", "891676976", "--equivalencer", "translation")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: tracking collapse: polished σ(x) is not a solution")
+
+
 def test_monodromy_rank_failure(capsys, tmp_path):
     src = tmp_path / "quad.txt"
     src.write_text("params z; unknowns x; eqs x^2 - z;")
@@ -382,9 +409,9 @@ def test_track_skips_invalid_start(capsys, tmp_path, p3p_track_files):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_track_fivepoint_golden(tmp_path, threads):
-    # Captured while the CLI doubled five-point endpoints through a special
-    # case for that problem name; doubling through the problem's declared
-    # deck map must not move a bit, and neither may the BLAS thread count.
+    # Re-captured when the σ-image began to be polished on the tracked
+    # (squared-up) system and the representative no longer got a second
+    # polish on the full one; the BLAS thread count must not move a bit.
     for name, seed in (("start.json", "1"), ("target.json", "2")):
         out = run_cli_blas_threads(threads, "fabricate", "fivepoint", "--seed", seed)
         (tmp_path / name).write_text(out[:out.rindex("residual:")])
@@ -393,9 +420,38 @@ def test_track_fivepoint_golden(tmp_path, threads):
                                str(tmp_path / "target.json"), "--seed", "9", "--out", str(out_path))
     assert out.startswith("tracked: 1/1\nsolutions: 2\n")
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        "57b2f55389951ea1bce4aae36fdad3e3c803f25e2e2300fb30b6cc74944a60b0"
+        "dc9ed9571a4ccacc7ad788b05a2ae47d2306dac03bf0307f503c3ee9f413bdb9"
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == \
-        "d10cddd579ef951b4fb59dbdf7f745a517ed842550922a4873d96c0f6a5caee4"
+        "f715a395dc9091a2db9fbab53dcc5518fcca6f45624d5d0ff49223be639b132c"
+
+
+@pytest.mark.parametrize("seed", [9, 14, 19])
+def test_track_draws_its_gamma_pair_as_a_monodromy_edge_does(capsys, monkeypatch, p3p_track_files, seed):
+    # Seeds 14 and 19 first draw a pair whose segment passes within 0.1 of
+    # the homotopy denominator's zero; track redraws it, as build_graph does.
+    gammas = []
+
+    def recording_segment(z_start, z_end, g0, g1):
+        gammas.append((g0, g1))
+        return PathSegment(z_start, z_end, g0, g1)
+
+    monkeypatch.setattr(cli, "PathSegment", recording_segment)
+    sf, tf, _, _, _ = p3p_track_files
+    code, out, _ = run_cli(capsys, "track", "p3p", str(sf), str(tf), "--seed", str(seed))
+    assert code == 0
+    assert out.startswith("tracked: 8/8\nsolutions: 8\n")
+    (g0, g1), = gammas
+    assert _segment_min_distance(g0, g1) >= 0.1
+
+
+def test_track_reports_a_lift_that_fails_its_check(capsys, monkeypatch, p3p_track_files):
+    # Negating two of the three depths is no deck map of P3P.
+    wrong = dataclasses.replace(cli.PROBLEMS["p3p"], deck_map=lambda x: x * np.array([-1.0, -1.0, 1.0]))
+    monkeypatch.setitem(cli.PROBLEMS, "p3p", wrong)
+    sf, tf, _, _, _ = p3p_track_files
+    code, _, err = run_cli(capsys, "track", "p3p", str(sf), str(tf), "--seed", "9")
+    assert code == 4
+    assert err.startswith("error: tracking collapse: polished σ(x) is not a solution")
 
 
 def test_track_deck_pair_in_start_file_is_not_duplicated(capsys, tmp_path):

@@ -33,6 +33,9 @@ SYSTEMS = {
 }
 
 # sha256 of the concatenated tobytes() over 200 points from default_rng(7).
+# The rational direction digest was re-recorded when the direction stage
+# moved from numpy scalars to Python complexes, whose division rounds
+# differently in the last bit (83 of the 200 points, 2.9e-16 relative).
 GOLDEN = {
     "p3p": (
         "c33b5263546b12e264921101d6e269bc065d96c4289b6fc0c9b92e6b4163cd57",
@@ -47,7 +50,7 @@ GOLDEN = {
     "rational": (
         "4bd8fc542e6cc137598a171f59f9577210423c1d093e3320521c0bab8ada6b17",
         "d071ecd4f861601b12ed05b7373ee3eeba48135f89b51819c69865e7d5e0c135",
-        "e8684c4fe8c608456f130db90480508745e5e0604901a746f95080c701f3abd9",
+        "14a7d66127c2968cd26dbef4d1bd21048d31969d7997b063e0be572c02f35887",
     ),
 }
 

@@ -18,7 +18,7 @@ from monogal.monodromy import (
     export_perm_script,
     run,
 )
-from monogal.problems import PROBLEMS
+from monogal.problems import PROBLEMS, p3p_conic_solve, p3p_fabricate
 from monogal.slp import RankDeficient, SystemBuilder
 from monogal.tracker import TrackResult, TrackStatus
 
@@ -396,6 +396,20 @@ def test_lifted_p3p_group_matches_a_run_that_tracks_every_path():
         assert groups[1].contains(Permutation([to_full[g(from_full[k])] for k in range(8)]))
     for g in full.permutations:
         assert groups[0].contains(Permutation([from_full[g(to_full[k])] for k in range(8)]))
+
+
+def test_deck_pairs_rejects_a_map_that_is_not_a_deck_map():
+    # Negating two of the three P3P depths leaves the fiber: the polished
+    # image is no solution or another one, never σ of the representative.
+    problem = PROBLEMS["p3p"]
+    inst, _ = p3p_fabricate(np.random.default_rng(1))
+    z, sysm = inst.as_params(), problem.build_system()
+    fiber = [s.as_vector() for s in p3p_conic_solve(inst)]
+    lifted = monodromy._deck_pairs(sysm, z, problem.deck_map, fiber)
+    assert len(lifted) == 8 and all(np.abs(y + x).max() <= 1e-12 for x, y in zip(lifted[::2], lifted[1::2]))
+    for x in fiber:
+        with pytest.raises(ValueError, match="not a solution"):
+            monodromy._deck_pairs(sysm, z, lambda y: y * np.array([-1.0, -1.0, 1.0]), [x])
 
 
 def test_inverse_leaves_out_targets_two_ids_reach():
