@@ -9,6 +9,13 @@ one symbolic forward-mode differentiation in slp (_differentiate), seeded
 with the n unit columns of the unknowns and one direction column. A
 squared-up system is its parent's evaluator composed with the retained
 coefficient matrix. The public slp evaluation functions call this evaluator.
+
+The evaluator works on Python lists of complexes, as the tracker does: z, x
+and v come in as lists (numpy arrays are converted with tolist()), the
+values and the direction derivative go out as lists, and only the Jacobian,
+which goes to the linear solve, is a numpy array, built from one flat list.
+The entries are the Python complexes the arrays used to be filled with, so
+no bit moves.
 """
 
 from __future__ import annotations
@@ -59,9 +66,10 @@ def _emit_node_line(lines: list[str], nid: int, node: tuple, pole_check: bool) -
 
 
 def _generate(sys: GateSystem):
-    """Emits _eval(z, x, v, jac) -> (f, J, d); J is None unless jac, d is
-    None unless v is given too. Each stage emits only the nodes that no
-    earlier stage did, and only the system's own divisions check for a pole."""
+    """Emits _eval(z, x, v, jac) -> (f, J, d) on lists: f and d are lists, J
+    an array; J is None unless jac, d is None unless v is given too. Each
+    stage emits only the nodes that no earlier stage did, and only the
+    system's own divisions check for a pole."""
     n_unk, n_out = sys.num_unknowns, sys.num_outputs
     one = ("const", complex(1.0))
     seeds = {("unk", j): [one if col == j else None for col in range(n_unk + 1)] for j in range(n_unk)}
@@ -81,15 +89,20 @@ def _generate(sys: GateSystem):
                 _emit_node_line(lines, nid, arena.nodes[nid], nid in poles)
 
     emit(arena.values + arena.poles)
-    lines.append(f"    f = np.array([{', '.join(f'v{o}' for o in arena.values)}], dtype=complex)")
+    lines.append(f"    f = [{', '.join(f'v{o}' for o in arena.values)}]")
     lines.append("    if not jac: return f, None, None")
     emit([did for _, _, did in j_entries])
-    lines.append(f"    J = np.zeros(({n_out}, {n_unk}), dtype=complex)")
-    lines.extend(f"    J[{row}, {col}] = v{did}" for row, col, did in j_entries)
+    # Entries no derivative reaches are 0j, the zero np.zeros would give.
+    flat = ["0j"] * (n_out * n_unk)
+    for row, col, did in j_entries:
+        flat[row * n_unk + col] = f"v{did}"
+    lines.append(f"    J = np.array([{', '.join(flat)}], dtype=complex).reshape({n_out}, {n_unk})")
     lines.append("    if v is None: return f, J, None")
     emit([did for _, did in d_entries])
-    lines.append(f"    d = np.zeros({n_out}, dtype=complex)")
-    lines.extend(f"    d[{row}] = v{did}" for row, did in d_entries)
+    d_items = ["0j"] * n_out
+    for row, did in d_entries:
+        d_items[row] = f"v{did}"
+    lines.append(f"    d = [{', '.join(d_items)}]")
     lines.append("    return f, J, d")
     namespace = dict(_PREAMBLE)
     exec(compile("\n".join(lines), "<monogal:_eval>", "exec"), namespace)
@@ -109,20 +122,32 @@ class CompiledSystem:
             self._base = None
             self._fn = _generate(sys)
 
-    def _eval(self, z: np.ndarray, x: np.ndarray, v: np.ndarray | None, jac: bool) -> tuple:
+    def _eval(self, z, x, v, jac: bool) -> tuple:
         if self._base is None:
-            return self._fn(z.tolist(), x.tolist(), None if v is None else v.tolist(), jac)
-        return tuple(None if a is None else self._coeffs @ a for a in self._base._eval(z, x, v, jac))
+            # Inline, not a helper: this runs four times per tracker step.
+            if isinstance(z, np.ndarray):
+                z = z.tolist()
+            if isinstance(x, np.ndarray):
+                x = x.tolist()
+            if isinstance(v, np.ndarray):
+                v = v.tolist()
+            return self._fn(z, x, v, jac)
+        f, J, d = self._base._eval(z, x, v, jac)
+        c = self._coeffs
+        return ((c @ np.array(f)).tolist(), None if J is None else c @ J,
+                None if d is None else (c @ np.array(d)).tolist())
 
-    def value(self, z: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def value(self, z, x) -> list:
         return self._eval(z, x, None, False)[0]
 
-    def value_and_jac(self, z: np.ndarray, x: np.ndarray, v: np.ndarray | None = None) -> tuple:
-        """(f, J, d): the values, the Jacobian in the unknowns, and (df/dz) @ v,
-        which is None when v is None."""
+    def value_and_jac(self, z, x, v=None) -> tuple:
+        """(f, J, d): the values, the Jacobian in the unknowns (an array), and
+        (df/dz) @ v, which is None when v is None."""
         return self._eval(z, x, v, True)
 
-    def residual(self, z: np.ndarray, x: np.ndarray) -> float:
+    def residual(self, z, x) -> float:
+        # np.abs, not abs: the two differ in the last bit, and this residual
+        # is the one the CLI prints.
         return float(np.abs(self.value(z, x)).max())
 
 

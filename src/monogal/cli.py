@@ -155,13 +155,13 @@ def cmd_monodromy(args) -> int:
     if classes and (problem is None or args.equivalencer != problem.classes):
         _err(f"unknown equivalencer {args.equivalencer!r}")
         return EXIT_BAD_INPUT
-    deck_map = None if problem is None else problem.deck_map
+    deck_map, degree = (None, None) if problem is None else (problem.deck_map, problem.degree)
 
     original = sysm
     try:
         if sysm.num_outputs > sysm.num_unknowns:
             sysm = square_up(sysm, z0, x0, rng)
-        graph = build_graph(sysm, z0, x0, args.nodes, rng, deck_map=deck_map)
+        graph = build_graph(sysm, z0, x0, args.nodes, rng, deck_map=deck_map, degree=degree)
     except RankDeficient as exc:
         _err(f"rank failure: {exc}")
         return EXIT_RANK

@@ -4,11 +4,15 @@ Matrices and vectors are numpy arrays with complex entries. Everything here
 is a pure function on caller-owned data; tolerances are fixed (double
 precision only).
 
-`lu_solve` is numpy's LAPACK solve (`zgesv`: LU with partial pivoting). Up
-to 96 unknowns its bits do not depend on the BLAS thread count (measured
-with numpy 2.4's OpenBLAS at 1 and 2 threads; larger factorizations are
-split across threads), so the path tracker, which solves tens of thousands
-of 3x3 to 11x11 systems per run, gives the same bits wherever it runs.
+`lu_solve` is numpy's LAPACK solve (`zgesv`: LU with partial pivoting),
+called through the `solve1` gufunc that `np.linalg.solve` itself calls,
+without that wrapper's dtype dispatch and error-state switching, which
+cost about 4 of a 3x3 solve's 5.7 microseconds (numpy 2.4, one OpenBLAS
+thread). The bits are those of `np.linalg.solve`. Up to 96 unknowns they
+do not depend on the BLAS thread count (measured with numpy 2.4's OpenBLAS
+at 1 and 2 threads; larger factorizations are split across threads), so
+the path tracker, which solves tens of thousands of 3x3 to 11x11 systems
+per run, gives the same bits wherever it runs.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import cmath
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 __all__ = [
     "SingularMatrix",
@@ -50,6 +55,11 @@ def lu_solve(a, b) -> np.ndarray:
     1e-7. A relative pivot rule (1e-14 times the largest column norm) was
     used before and never fired in 145k solves of the standard runs.
 
+    The floating-point error state is the caller's: LAPACK's singular exit
+    fills the solution with NaN and raises the invalid flag, which numpy
+    reports as a RuntimeWarning unless the caller ignores it, as `track`
+    and `refine` do with one np.errstate per call.
+
     Raises:
         SingularMatrix: an exactly zero pivot, or a non-finite solution,
             which is what NaN input and overflow give. An infinite entry
@@ -61,13 +71,10 @@ def lu_solve(a, b) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if b.shape != (a.shape[0],):
         raise ValueError(f"right-hand side shape {b.shape} does not match {a.shape}")
-    try:
-        x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix(str(exc)) from None
+    x = _umath_linalg.solve1(a, b, signature="DD->D")
     # Checked on Python complexes: cheaper than np.isfinite at these sizes.
     if not all(map(cmath.isfinite, x.tolist())):
-        raise SingularMatrix("non-finite solution")
+        raise SingularMatrix("singular matrix or non-finite solution")
     return x
 
 

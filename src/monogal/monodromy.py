@@ -54,6 +54,9 @@ __all__ = [
 
 # Relative max-norm distance at which two registry keys are one solution.
 _DEDUP_TOLERANCE = 1e-6
+# Fresh edges without a new solution that a run below its graph's declared
+# degree needs before it stops by stabilization.
+_BELOW_DEGREE_FRESH_EDGES = 16
 
 
 def _same_solution(a: np.ndarray, b: np.ndarray) -> bool:
@@ -161,6 +164,7 @@ class HomotopyGraph:
     edges: list[HomotopyEdge]
     rng: np.random.Generator
     deck_map: Callable[[np.ndarray], np.ndarray] | None = None
+    degree: int | None = None
 
 
 class StopReason(enum.Enum):
@@ -218,7 +222,8 @@ def _sample_gamma_pair(rng: np.random.Generator) -> tuple[complex, complex]:
 
 def build_graph(sys: GateSystem, z0: np.ndarray, x0: np.ndarray, n_nodes: int,
                 rng: np.random.Generator,
-                deck_map: Callable[[np.ndarray], np.ndarray] | None = None) -> HomotopyGraph:
+                deck_map: Callable[[np.ndarray], np.ndarray] | None = None,
+                degree: int | None = None) -> HomotopyGraph:
     """Complete graph over n_nodes generic instances, seeded with (z0, x0).
 
     Args:
@@ -229,6 +234,9 @@ def build_graph(sys: GateSystem, z0: np.ndarray, x0: np.ndarray, n_nodes: int,
         rng: drives the fresh parameter draws and gamma pairs.
         deck_map: the problem's deck symmetry σ on solution vectors, if any:
             every registry then merges x with σ(x).
+        degree: the problem's known solution count, if any: while the base
+            fiber holds fewer, run stops by stabilization only after
+            _BELOW_DEGREE_FRESH_EDGES (16) fresh edges found nothing new.
 
     Raises:
         ValueError: fewer than 2 nodes, wrong shapes, or a seed residual above 1e-8.
@@ -260,7 +268,7 @@ def build_graph(sys: GateSystem, z0: np.ndarray, x0: np.ndarray, n_nodes: int,
     for a in range(n_nodes):
         for b in range(a + 1, n_nodes):
             edges.append(HomotopyEdge(len(edges), a, b, _sample_gamma_pair(rng)))
-    return HomotopyGraph(sys, nodes, edges, rng, deck_map)
+    return HomotopyGraph(sys, nodes, edges, rng, deck_map, degree)
 
 
 def _direction_units(graph: HomotopyGraph):
@@ -436,9 +444,11 @@ def run(graph: HomotopyGraph, opts: RunOptions | None = None) -> MonodromyResult
     nothing is pending, a fresh random-gamma edge keeps the exploration
     going; the run stops by stabilization when nothing is pending and
     opts.stabilization_limit fresh edges have been added since the last new
-    solution. With σ, the target count and the result count full
-    solutions: each representative is followed by σ of it, polished by
-    refine at the base parameters, and the permutations act on these ids.
+    solution, or at least _BELOW_DEGREE_FRESH_EDGES (16) while the base
+    fiber is smaller than the graph's declared degree. With σ, the target
+    count and the result count full solutions: each representative is
+    followed by σ of it, polished by refine at the base parameters, and the
+    permutations act on these ids.
 
     Raises:
         TrackFailureRate: more than half the ids that one multi-id loop sent
@@ -460,7 +470,10 @@ def run(graph: HomotopyGraph, opts: RunOptions | None = None) -> MonodromyResult
         units = _direction_units(graph)
         pending, edge, forward = max(units, key=lambda u: (len(u[0]), -u[1].edge_id, u[2]))
         if not pending:
-            if fresh_edges >= opts.stabilization_limit:
+            limit = opts.stabilization_limit
+            if graph.degree is not None and _fiber_size(graph, 0) < graph.degree:
+                limit = max(limit, _BELOW_DEGREE_FRESH_EDGES)
+            if fresh_edges >= limit:
                 stopped_by = StopReason.Stabilization
                 break
             _add_random_edge(graph)

@@ -49,6 +49,11 @@ __all__ = [
     "ransac_trials",
 ]
 
+# Largest condition number of the P3P Jacobian in the depths that the
+# fabricator accepts. Over 3,500 bench instances the median is 9.6 and the
+# 99.9% quantile 3.7e3; the draws that failed to solve sat at 3.8e4 and up.
+_P3P_MAX_COND = 1e4
+
 
 class DegenerateSample(ValueError):
     """Fabrication kept hitting degenerate geometry."""
@@ -165,15 +170,18 @@ def p3p_fabricate_scene(rng: np.random.Generator):
     image directions are nearly coplanar (|det p| < 2e-2) are redrawn: the
     camera centre then lies near the plane of the points, four of the eight
     solutions lie near infinity, and the affine tracker cannot follow paths
-    to them. An accepted draw consumes no randomness beyond its own.
+    to them. So are draws whose Jacobian in the depths has a condition
+    number above 1e4 at the drawn depths: the instance then sits near a
+    branch point, where every path from it can end at MinStepReached. An
+    accepted draw consumes no randomness beyond its own.
 
     Returns:
         (P3PInstance, P3PSolution, CameraPose, directions (3x3, rows p_i),
         points (3x3, rows q_i)).
 
     Raises:
-        DegenerateSample: 100 attempts all hit collinear points, tiny depths
-            or nearly coplanar image directions.
+        DegenerateSample: 100 attempts all hit collinear points, tiny depths,
+            nearly coplanar image directions or an ill-conditioned Jacobian.
     """
     sysm = p3p_system()
     for _ in range(100):
@@ -205,7 +213,7 @@ def p3p_fabricate_scene(rng: np.random.Generator):
         z, x = inst.as_params(), sol.as_vector()
         if residual(sysm, z, x) > 1e-10:
             continue
-        if numerical_rank(jacobian_unknowns(sysm, z, x)) < 3:
+        if np.linalg.cond(jacobian_unknowns(sysm, z, x)) > _P3P_MAX_COND:
             continue
         return inst, sol, CameraPose(R, t), p, q
     raise DegenerateSample("no valid P3P sample in 100 attempts")
@@ -532,7 +540,9 @@ class Problem:
     it sends a solution to another solution of the same instance (None when
     the problem declares none). σ must be a fixed-point-free involution,
     since monodromy tracks one path per orbit {x, σ(x)}. classes names the
-    `--equivalencer` view of a run on those orbits.
+    `--equivalencer` view of a run on those orbits. degree is the known
+    number of solutions of a generic instance, below which a monodromy run
+    keeps exploring longer before it stops by stabilization.
     """
 
     name: str
@@ -540,6 +550,7 @@ class Problem:
     fabricate: Callable[[np.random.Generator], tuple[np.ndarray, np.ndarray]]
     deck_map: Callable[[np.ndarray], np.ndarray] | None
     classes: str | None
+    degree: int | None
 
 
 def _p3p_fabricate_vectors(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -563,6 +574,7 @@ PROBLEMS: dict[str, Problem] = {
         fabricate=_p3p_fabricate_vectors,
         deck_map=np.negative,
         classes="sign",
+        degree=8,
     ),
     "fivepoint": Problem(
         name="fivepoint",
@@ -570,5 +582,6 @@ PROBLEMS: dict[str, Problem] = {
         fabricate=_fivepoint_fabricate_vectors,
         deck_map=_fivepoint_deck_map,
         classes="translation",
+        degree=20,
     ),
 }

@@ -13,8 +13,9 @@ Evaluation is generated code: _compile emits one straight-line Python
 function per system from one differentiation arena. It returns after the
 stage its caller needs: the values, then df/dx, then (df/dz) @ v. The
 public evaluate, jacobian_unknowns, jacobian_parameters and residual call
-it. A squared-up system is evaluated as its coefficient matrix times its
-parent's outputs.
+it and return numpy arrays; the evaluator itself returns the values and the
+direction derivative as lists. A squared-up system is evaluated as its
+coefficient matrix times its parent's outputs.
 """
 
 from __future__ import annotations
@@ -331,7 +332,7 @@ def evaluate(sys: GateSystem, z, x) -> np.ndarray:
         EvaluationSingular: a division denominator is (nearly) zero.
     """
     z, x = _check_dims(sys, z, x)
-    return _compiled(sys).value(z, x)
+    return np.array(_compiled(sys).value(z, x), dtype=complex)
 
 
 def jacobian_unknowns(sys: GateSystem, z, x) -> np.ndarray:

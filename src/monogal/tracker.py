@@ -15,9 +15,15 @@ rejected one. Each RK4 stage makes one call to the system's generated
 evaluator, which returns df/dx and (df/dz) phi'(t) from one pass. One Newton
 loop is the corrector, the endpoint polish and refine, on square systems.
 Step sizes, tolerances and budgets are fixed module constants, not options.
-Tracking is deterministic: identical inputs produce identical results bit
-for bit, at any BLAS thread count for systems of up to 96 unknowns (see
-monogal.linalg).
+
+The per-step arithmetic runs on Python lists of complexes, the evaluator's
+own type, with the operations numpy's arrays did in the same order, so it
+rounds as they did; only the segment points phi(t), phi'(t) stay numpy
+(Python's complex division rounds differently). A step evaluates the
+segment twice: at t + h/2 for k2 and k3, and at t + h for k4, the
+corrector and, once accepted, the next step's k1. Tracking is
+deterministic: identical inputs produce identical results bit for bit, at
+any BLAS thread count for systems of up to 96 unknowns (see monogal.linalg).
 """
 
 from __future__ import annotations
@@ -158,8 +164,22 @@ def path_tangent(seg: PathSegment, t: float) -> np.ndarray:
     return dphi
 
 
-def _maxabs(v: np.ndarray) -> float:
-    return float(np.abs(v).max()) if v.size else 0.0
+def _maxabs(v: list) -> float:
+    # max|v_i| over Python complexes, NaN when any |v_i| is NaN, as
+    # np.abs(v).max() gives: max() alone keeps a NaN only in first place.
+    try:
+        a = [abs(e) for e in v]
+    except OverflowError:  # a finite entry whose modulus overflows
+        return float(np.abs(np.array(v)).max())
+    total = sum(a)
+    return total if total != total else max(a, default=0.0)
+
+
+def _quiet() -> np.errstate:
+    # A singular Jacobian makes LAPACK raise the invalid flag and lu_solve
+    # turns it into SingularMatrix, so track and refine run with the
+    # floating-point flags ignored: one errstate per call, not per solve.
+    return np.errstate(invalid="ignore", divide="ignore", over="ignore")
 
 
 def _require_square(sys: GateSystem) -> None:
@@ -167,16 +187,16 @@ def _require_square(sys: GateSystem) -> None:
         raise ValueError(f"system is not square: {sys.num_outputs} outputs, {sys.num_unknowns} unknowns")
 
 
-def _newton(comp: CompiledSystem, z: np.ndarray, x: np.ndarray, iters: int, tol: float | None = None) -> RefineOutcome:
+def _newton(comp: CompiledSystem, z: list, x: list, iters: int, tol: float | None = None) -> tuple[list, float]:
     # One value_and_jac per step until max|f| <= tol (None: rounding level,
     # 1e-15 * (1 + max|x|)); after the last step, that iterate's residual alone.
     for _ in range(iters):
         f, jac, _ = comp.value_and_jac(z, x)
         res = _maxabs(f)
         if res <= (1e-15 * (1.0 + _maxabs(x)) if tol is None else tol):
-            return RefineOutcome(x, res)
-        x = x + lu_solve(jac, -f)
-    return RefineOutcome(x, comp.residual(z, x))
+            return x, res
+        x = [a + b for a, b in zip(x, lu_solve(jac, [-e for e in f]).tolist())]
+    return x, comp.residual(z, x)
 
 
 def refine(sys: GateSystem, z, x, iters: int) -> RefineOutcome:
@@ -188,7 +208,10 @@ def refine(sys: GateSystem, z, x, iters: int) -> RefineOutcome:
     is not square raises ValueError (square an overdetermined one up first).
     """
     _require_square(sys)
-    return _newton(compiled_for(sys), np.asarray(z, dtype=complex), np.array(x, dtype=complex), iters)
+    z, x = np.asarray(z, dtype=complex).tolist(), np.array(x, dtype=complex).tolist()
+    with _quiet():
+        x, res = _newton(compiled_for(sys), z, x, iters)
+    return RefineOutcome(np.array(x, dtype=complex), res)
 
 
 def track(sys: GateSystem, seg: PathSegment, x_start) -> TrackResult:
@@ -217,34 +240,53 @@ def track(sys: GateSystem, seg: PathSegment, x_start) -> TrackResult:
         raise ValueError(f"segment parameter shape {seg.z_start.shape} does not match "
                          f"the system's ({sys.num_parameters},)")
     comp = compiled_for(sys)
-    if not comp.residual(seg.z_start, x) <= 1e-6:  # also rejects NaN
-        raise ValueError("x_start is not a solution at the segment start (residual > 1e-6)")
+    with _quiet():
+        if not comp.residual(seg.z_start, x) <= 1e-6:  # also rejects NaN
+            raise ValueError("x_start is not a solution at the segment start (residual > 1e-6)")
+        x, status, steps, t = _track(comp, seg, x.tolist())
+    return TrackResult(status, np.array(x, dtype=complex), steps, t)
 
+
+def _track(comp: CompiledSystem, seg: PathSegment, x: list) -> tuple[list, TrackStatus, int, float]:
+    # The loop of track on lists: (last x, status, steps, t reached).
     t = 0.0
     h = _INITIAL_STEP
     steps = 0
+    z_end = seg.z_end.tolist()
+    start = None  # (phi(t), phi'(t)), kept while t stays
 
-    def rhs(t_at: float, x_at: np.ndarray) -> np.ndarray:
+    def point(t_at: float) -> tuple[list, list]:
         phi, dphi = _segment_eval(seg, t_at)
-        _, jac, b = comp.value_and_jac(phi, x_at, dphi)
-        return lu_solve(jac, -b)
+        return phi.tolist(), dphi.tolist()
+
+    def rhs(pt: tuple[list, list], x_at: list) -> list:
+        _, jac, b = comp.value_and_jac(pt[0], x_at, pt[1])
+        return lu_solve(jac, [-e for e in b]).tolist()
 
     while t < 1.0:
         if steps >= _MAX_STEPS:
-            return TrackResult(TrackStatus.MaxStepsReached, x, steps, t)
+            return x, TrackStatus.MaxStepsReached, steps, t
         steps += 1
         h_eff = min(h, 1.0 - t)
         try:
-            # RK4 predictor.
-            k1 = rhs(t, x)
-            k2 = rhs(t + h_eff / 2.0, x + (h_eff / 2.0) * k1)
-            k3 = rhs(t + h_eff / 2.0, x + (h_eff / 2.0) * k2)
-            k4 = rhs(t + h_eff, x + h_eff * k3)
-            x_pred = x + (h_eff / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            # Newton corrector at fixed t + h_eff.
+            # RK4 predictor: k2 and k3 share phi(t + h/2), and phi(t + h) is
+            # the corrector's parameters and, once accepted, the next k1's.
+            if start is None:
+                start = point(t)
+            k1 = rhs(start, x)
+            half = h_eff / 2.0
+            mid = point(t + half)
+            k2 = rhs(mid, [a + half * b for a, b in zip(x, k1)])
+            k3 = rhs(mid, [a + half * b for a, b in zip(x, k2)])
+            end = point(t + h_eff)
+            k4 = rhs(end, [a + h_eff * b for a, b in zip(x, k3)])
+            sixth = h_eff / 6.0
+            x_pred = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                      for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+            # Newton corrector at fixed t + h_eff; the last step lands on z_end.
             t_new = 1.0 if h_eff >= 1.0 - t else t + h_eff
-            z_new = path_point(seg, t_new)
-            x_corr, res = _newton(comp, z_new, x_pred, _MAX_CORRECTOR_ITERS, _CORRECTOR_TOL)
+            x_corr, res = _newton(comp, z_end if t_new == 1.0 else end[0], x_pred,
+                                  _MAX_CORRECTOR_ITERS, _CORRECTOR_TOL)
             accepted = res <= _CORRECTOR_TOL
         except (SingularMatrix, EvaluationSingular, DegeneratePath):
             accepted = False
@@ -252,19 +294,20 @@ def track(sys: GateSystem, seg: PathSegment, x_start) -> TrackResult:
         if accepted:
             x = x_corr
             t = t_new
+            start = end
             if _maxabs(x) > _DIVERGENCE_BOUND:
-                return TrackResult(TrackStatus.CorrectorDiverged, x, steps, t)
+                return x, TrackStatus.CorrectorDiverged, steps, t
             h = min(h * _STEP_INCREASE, _MAX_STEP)
         else:
             h = h * _STEP_DECREASE
             if h < _MIN_STEP:
-                return TrackResult(TrackStatus.MinStepReached, x, steps, t)
+                return x, TrackStatus.MinStepReached, steps, t
 
     # Endpoint refinement at the exact target parameters.
     try:
-        x, res = _newton(comp, seg.z_end, x, _ENDPOINT_REFINE_ITERS)
+        x, res = _newton(comp, z_end, x, _ENDPOINT_REFINE_ITERS)
     except (SingularMatrix, EvaluationSingular):
-        return TrackResult(TrackStatus.SingularEndpoint, x, steps, 1.0)
+        return x, TrackStatus.SingularEndpoint, steps, 1.0
     if res <= 10.0 * _CORRECTOR_TOL and _maxabs(x) <= _DIVERGENCE_BOUND:
-        return TrackResult(TrackStatus.Success, x, steps, 1.0)
-    return TrackResult(TrackStatus.CorrectorDiverged, x, steps, 1.0)
+        return x, TrackStatus.Success, steps, 1.0
+    return x, TrackStatus.CorrectorDiverged, steps, 1.0

@@ -142,11 +142,24 @@ def test_monodromy_p3p_nearly_coplanar_seeds_now_solve(capsys, seed):
     assert "solutions: 8" in out
 
 
-@pytest.mark.parametrize("seed", ["632356043", "1676864797"])
+@pytest.mark.parametrize("seed", ["880709138", "1651044826"])
+def test_monodromy_p3p_ill_conditioned_seeds_now_solve(capsys, seed):
+    # Without the fabricator's conditioning guard these seeds drew instances
+    # near a branch point (Jacobian condition 8.4e4 and 3.8e4): every path of
+    # the first ended MinStepReached at t = 0 and the run printed 2
+    # solutions, and the second exited 4.
+    code, out, _ = run_cli(capsys, "monodromy", "p3p", "--seed", seed)
+    assert code == 0
+    assert "solutions: 8" in out
+    assert "order: 192" in out
+
+
+@pytest.mark.parametrize("seed", ["632356043", "1676864797", "597277005"])
 def test_monodromy_p3p_no_early_stop_at_six_solutions(capsys, seed):
     # Counting stabilization in loops let short mop-up loops use up the
     # budget: these seeds stopped after two fresh edges with 6 solutions and
-    # order 48.
+    # order 48. The last one stopped so after four fresh edges; below the
+    # problem's degree, 8, a run now waits for 16.
     code, out, _ = run_cli(capsys, "monodromy", "p3p", "--seed", seed)
     assert code == 0
     assert "solutions: 8" in out

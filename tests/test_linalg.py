@@ -57,7 +57,8 @@ def test_lu_solve_singular():
 
 # Runs in a child interpreter (conftest.run_python). Prints the sha256 of
 # every lu_solve outcome in order and, given the argument "compare", the
-# number of solves whose outcome or bits differ from the scipy reference.
+# numbers of solves whose outcome or bits differ from the scipy reference
+# and from np.linalg.solve, whose LAPACK gufunc lu_solve calls directly.
 SOLVES_CHILD = """
 import hashlib
 import sys
@@ -66,6 +67,15 @@ import numpy as np
 
 from conftest import reference_lu_solve
 from monogal.linalg import SingularMatrix, lu_solve
+
+def numpy_solve(a, b):
+    try:
+        x = np.linalg.solve(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    except np.linalg.LinAlgError:
+        raise SingularMatrix("singular matrix") from None
+    if not np.isfinite(x).all():
+        raise SingularMatrix("non-finite solution")
+    return x
 
 def outcome(solve, a, b):
     try:
@@ -84,20 +94,23 @@ def cases(rng):
         yield rng.standard_normal((n, n)), rng.standard_normal(n)
 
 digest = hashlib.sha256()
-differ = 0
+differ = differ_numpy = 0
 for a, b in cases(np.random.default_rng(5)):
     got = outcome(lu_solve, a, b)
     digest.update(got)
     if sys.argv[1:] == ["compare"]:
         differ += got != outcome(reference_lu_solve, a, b)
-print(digest.hexdigest(), differ)
+        differ_numpy += got != outcome(numpy_solve, a, b)
+print(digest.hexdigest(), differ, differ_numpy)
 """
 
 
 def test_lu_solve_bitwise_equals_scipy_wrappers():
     # scipy's bits depend on the BLAS thread count, so compare at one thread.
-    _, differ = run_python(1, "-c", SOLVES_CHILD, "compare").split()
-    assert differ == "0"
+    # lu_solve calls a private numpy gufunc, so a numpy release that changes
+    # what it computes must fail here too.
+    _, differ, differ_numpy = run_python(1, "-c", SOLVES_CHILD, "compare").split()
+    assert (differ, differ_numpy) == ("0", "0")
 
 
 def test_lu_solve_same_bytes_at_one_and_two_blas_threads():

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import run_python
 from monogal import tracker
+from monogal.linalg import SingularMatrix, lu_solve
 from monogal.slp import SystemBuilder, residual
 from monogal.tracker import (
     DegeneratePath,
@@ -247,6 +251,32 @@ def test_track_bitwise_equal_with_scipy_solve():
     # Swapping in scipy's solve must not move a single bit of a tracked path.
     # scipy's bits depend on the BLAS thread count, so compare at one thread.
     assert run_python(1, "-c", TRACK_CHILD) == "equal\n"
+
+
+def test_track_and_refine_at_a_singular_jacobian_do_not_warn():
+    # LAPACK's singular exit raises the invalid flag, which a bare lu_solve
+    # reports as a RuntimeWarning; track and refine ignore the flags.
+    with pytest.warns(RuntimeWarning), pytest.raises(SingularMatrix):
+        lu_solve(np.zeros((2, 2)), np.ones(2))
+    sysm = quadratic_system()  # d(x^2 - z)/dx = 2x vanishes at x = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = track(sysm, PathSegment([0.0], [4.0]), [0.0])
+        assert result.status is TrackStatus.MinStepReached
+        assert result.t_reached == 0.0
+        with pytest.raises(SingularMatrix):
+            refine(sysm, [4.0], [0.0], iters=3)
+
+
+def test_maxabs_is_nan_wherever_the_nan_sits():
+    # The tracker's max|v| on lists must not drop a NaN, as max() does when
+    # the NaN is not the first entry.
+    nan = complex("nan")
+    for v in ([nan, 1.0 + 0j, 2j], [1.0 + 0j, nan, 2j], [1.0 + 0j, 2j, nan], [complex("inf"), nan]):
+        assert math.isnan(tracker._maxabs(v))
+    assert tracker._maxabs([1.0 + 0j, -3j, 2.0 + 0j]) == 3.0
+    assert tracker._maxabs([complex(1.5e308, 1.5e308), 1j]) == math.inf  # abs() overflows
+    assert tracker._maxabs([]) == 0.0
 
 
 # ------------------------------------------------------------
