@@ -20,6 +20,8 @@ no bit moves.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .slp import _DIV_EPS, EvaluationSingular, GateSystem, _differentiate, _reachable
@@ -29,7 +31,7 @@ __all__ = ["CompiledSystem", "compiled_for"]
 _INF, _NAN = float("inf"), float("nan")
 # repr() of a non-finite complex constant names inf, nan, infj or nanj.
 _PREAMBLE = {
-    "np": np, "EvaluationSingular": EvaluationSingular, "abs": abs,
+    "np": np, "EvaluationSingular": EvaluationSingular, "hypot": math.hypot,
     "inf": _INF, "nan": _NAN, "infj": complex(0.0, _INF), "nanj": complex(0.0, _NAN),
 }
 
@@ -53,9 +55,12 @@ def _emit_node_line(lines: list[str], nid: int, node: tuple, pole_check: bool) -
     elif tag == "div":
         if pole_check:
             # The zero test catches a NaN numerator, which fails the
-            # relative test.
+            # relative test. hypot, not abs: abs raises OverflowError on a
+            # finite complex whose modulus overflows, hypot returns inf.
+            den, num = f"v{node[2]}", f"v{node[1]}"
             lines.append(
-                f"    if v{node[2]} == 0 or abs(v{node[2]}) < {_DIV_EPS!r} * (1.0 + abs(v{node[1]})): "
+                f"    if {den} == 0 or hypot({den}.real, {den}.imag) < "
+                f"{_DIV_EPS!r} * (1.0 + hypot({num}.real, {num}.imag)): "
                 f"raise EvaluationSingular('denominator ~0 in node {nid}')"
             )
         lines.append(f"    v{nid} = v{node[1]} / v{node[2]}")

@@ -8,12 +8,13 @@ BLAS thread count for systems of up to 96 unknowns (see monogal.linalg).
 `monodromy --equivalencer NAME` reports the same run on the orbits of the
 problem's deck map; NAME must be the problem's `classes` (translation, sign).
 
-Exit codes: 0 success (monodromy too, when it prints failures), 1 a failed
-start or path in track or a fabricate residual above 1e-8, 2 bad input
-(unknown problem, parse error, unreadable or mis-shaped solutions JSON,
-invalid option or probability), 3 rank failure, 4 tracking collapse (most
-paths of one loop failed, or a σ-image failed its check), 5 unsupported
-group (analysis output written).
+Exit codes: 0 success (monodromy too, when it prints failures but some
+path succeeded), 1 a failed start or path in track or a fabricate residual
+above 1e-8, 2 bad input (unknown problem, parse error, unreadable or
+mis-shaped solutions JSON, invalid option or probability), 3 rank failure,
+4 tracking collapse (most paths of one monodromy loop or every path of a
+run failed, two track paths from distinct starts met, or a σ-image failed
+its check), 5 unsupported group (analysis output written).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from . import groups as groupmod
 from .monodromy import (
     MonodromyResult,
     RunOptions,
+    SolutionRegistry,
     TrackFailureRate,
     _deck_pairs,
     _sample_gamma_pair,
@@ -177,6 +179,9 @@ def cmd_monodromy(args) -> int:
     except (TrackFailureRate, ValueError) as exc:  # ValueError: see _deck_pairs
         _err(f"tracking collapse: {exc}")
         return EXIT_TRACKING
+    if result.paths_tracked > 0 and result.failures == result.paths_tracked:
+        _err(f"tracking collapse: all {result.paths_tracked} tracked paths failed")
+        return EXIT_TRACKING
 
     solutions, perms = result.solutions, result.permutations
     if classes:
@@ -269,20 +274,28 @@ def cmd_track(args) -> int:
 
     # A monodromy edge's gamma draw, which keeps the homotopy denominator off 0.
     seg = PathSegment(z_start, z_target, *_sample_gamma_pair(rng))
-    endpoints = []
+    # One entry per solution, or per σ-orbit (a start file may hold a deck
+    # pair): distinct starts must reach distinct endpoints.
+    deck_map = None if problem is None else problem.deck_map
+    sources, targets = SolutionRegistry(deck_map), SolutionRegistry(deck_map)
+    tracked = 0
     for x in starts:
         try:
             result = track(sysm, seg, x)
         except ValueError:  # not a solution at the segment start: a failed start
             continue
         if result.success:
-            endpoints.append(result.endpoint)
-    tracked = len(endpoints)
+            tracked += 1
+            sources.register(x)
+            targets.register(result.endpoint)
+    if len(targets) < len(sources):
+        _err(f"tracking collapse: {len(sources)} distinct starts reached {len(targets)} distinct endpoints")
+        return EXIT_TRACKING
 
-    if problem is not None and problem.deck_map is not None:
-        # One endpoint per σ-orbit (a start file may hold a deck pair), then its σ-image.
+    endpoints = targets.vectors()
+    if deck_map is not None:
         try:
-            endpoints = _deck_pairs(sysm, z_target, problem.deck_map, endpoints)
+            endpoints = _deck_pairs(sysm, z_target, deck_map, endpoints)
         except ValueError as exc:
             _err(f"tracking collapse: {exc}")
             return EXIT_TRACKING

@@ -134,16 +134,17 @@ class HomotopyEdge:
     """Segment homotopy between two nodes with correspondence bookkeeping.
 
     forward_map sends from-node full ids to to-node full ids, backward_map
-    the reverse; the attempted sets hold registry ids, one per σ-orbit.
+    the reverse. Registries only append, so the source registry ids, one per
+    σ-orbit, that one direction sent (tracked, derived or failed, and never
+    retried) are those below its count, sent_forward or sent_backward.
     The backward segment is the forward curve run in reverse, so an id that
     the opposite map already reaches is derived from that map's inverse
     instead of tracked. Derivation waits for an audit: the first derivable
     id, in either direction, is tracked and must land where the inverse
     says, which sets audited. Unless a path jumped, the two maps are mutually
-    inverse wherever both are defined. The attempted sets record every id
-    ever sent (tracked, derived or failed) so failures are not retried.
-    An audit that lands elsewhere deletes the opposite entry it contradicts,
-    so a disputed edge never becomes a bijection and feeds no permutation.
+    inverse wherever both are defined. An audit that lands elsewhere deletes
+    the opposite entry it contradicts, so a disputed edge never becomes a
+    bijection and feeds no permutation.
     """
 
     edge_id: int
@@ -152,8 +153,8 @@ class HomotopyEdge:
     gamma_pair: tuple[complex, complex]
     forward_map: dict[int, int] = field(default_factory=dict)
     backward_map: dict[int, int] = field(default_factory=dict)
-    attempted_forward: set[int] = field(default_factory=set)
-    attempted_backward: set[int] = field(default_factory=set)
+    sent_forward: int = 0
+    sent_backward: int = 0
     audited: bool = False
 
 
@@ -271,13 +272,11 @@ def build_graph(sys: GateSystem, z0: np.ndarray, x0: np.ndarray, n_nodes: int,
     return HomotopyGraph(sys, nodes, edges, rng, deck_map, degree)
 
 
-def _direction_units(graph: HomotopyGraph):
-    # (pending ids, edge, forward?) for every edge direction: pending means
-    # registered at the source but never sent across this direction.
-    return [([i for i in range(len(graph.nodes[node].registry)) if i not in attempted], edge, forward)
-            for edge in graph.edges
-            for node, attempted, forward in ((edge.from_node, edge.attempted_forward, True),
-                                             (edge.to_node, edge.attempted_backward, False))]
+def _pending(graph: HomotopyGraph, edge: HomotopyEdge, forward: bool) -> range:
+    # Registry ids at the direction's source that have not crossed it yet.
+    if forward:
+        return range(edge.sent_forward, len(graph.nodes[edge.from_node].registry))
+    return range(edge.sent_backward, len(graph.nodes[edge.to_node].registry))
 
 
 def _add_random_edge(graph: HomotopyGraph) -> None:
@@ -301,9 +300,8 @@ def _fiber_size(graph: HomotopyGraph, node_id: int) -> int:
     return len(graph.nodes[node_id].registry) * (1 if graph.deck_map is None else 2)
 
 
-def _track_batch(graph: HomotopyGraph, pending: list[int], edge: HomotopyEdge,
-                 forward: bool) -> tuple[int, int, int]:
-    """Sends pending ids across one edge direction.
+def _track_batch(graph: HomotopyGraph, edge: HomotopyEdge, forward: bool) -> tuple[int, int, int]:
+    """Sends the direction's pending ids across it and counts them as sent.
 
     The maps hold full ids. Without σ they are registry ids; with σ,
     representative c is 2c and σ of it 2c+1, and a path from c that lands on
@@ -325,10 +323,14 @@ def _track_batch(graph: HomotopyGraph, pending: list[int], edge: HomotopyEdge,
     Returns (paths tracked, failures, newly registered)."""
     src, dst = graph.nodes[edge.from_node], graph.nodes[edge.to_node]
     g0, g1 = edge.gamma_pair
-    corr, attempted, opposite = edge.forward_map, edge.attempted_forward, edge.backward_map
-    if not forward:
+    corr, opposite = edge.forward_map, edge.backward_map
+    pending = _pending(graph, edge, forward)
+    if forward:
+        edge.sent_forward = pending.stop
+    else:
+        edge.sent_backward = pending.stop
         src, dst, g0, g1 = dst, src, g1, g0
-        corr, attempted, opposite = opposite, edge.attempted_backward, corr
+        corr, opposite = opposite, corr
     width = 1 if graph.deck_map is None else 2
     inverse = _inverse(opposite)
     order = sorted(pending, key=lambda sid: (width == 1 or inverse.get(2 * sid, 0) % 2 == 0, sid))
@@ -337,7 +339,6 @@ def _track_batch(graph: HomotopyGraph, pending: list[int], edge: HomotopyEdge,
     failures = 0
     new_count = 0
     for sid in order:
-        attempted.add(sid)
         known = inverse.get(width * sid)
         if known is not None and edge.audited:
             corr.update({width * sid + k: known ^ k for k in range(width)})
@@ -415,15 +416,13 @@ def _extract_permutations(graph: HomotopyGraph) -> list[Permutation]:
 
 def _deck_pairs(sys: GateSystem, z: np.ndarray, deck_map: Callable[[np.ndarray], np.ndarray],
                 reps: Iterable[np.ndarray]) -> list[np.ndarray]:
-    # The first x of each σ-orbit in reps, then σ(x) polished by refine at z on
+    # Each x of reps, one per σ-orbit, then σ(x) polished by refine at z on
     # the tracked square system, as σ amplifies a tracked endpoint's error.
     # Unless the image solves sys to track's 1e-7 bar and is σ(x) by the
     # registry's rule one way round (an ill-conditioned x or image fails the
     # other), σ is no deck map of sys: ValueError.
-    orbits, pairs = SolutionRegistry(deck_map), []
+    pairs = []
     for x in reps:
-        if not orbits.register(x)[1]:
-            continue
         y = deck_map(x)
         image, res = refine(sys, z, y, iters=3)
         if not (res <= 1e-7 and (_same_solution(image, y) or _same_solution(deck_map(image), x))):
@@ -467,9 +466,9 @@ def run(graph: HomotopyGraph, opts: RunOptions | None = None) -> MonodromyResult
         if opts.target_count is not None and _fiber_size(graph, 0) >= opts.target_count:
             stopped_by = StopReason.TargetCount
             break
-        units = _direction_units(graph)
-        pending, edge, forward = max(units, key=lambda u: (len(u[0]), -u[1].edge_id, u[2]))
-        if not pending:
+        directions = [(len(_pending(graph, e, f)), e, f) for e in graph.edges for f in (True, False)]
+        n_pending, edge, forward = max(directions, key=lambda d: (d[0], -d[1].edge_id, d[2]))
+        if not n_pending:
             limit = opts.stabilization_limit
             if graph.degree is not None and _fiber_size(graph, 0) < graph.degree:
                 limit = max(limit, _BELOW_DEGREE_FRESH_EDGES)
@@ -479,7 +478,7 @@ def run(graph: HomotopyGraph, opts: RunOptions | None = None) -> MonodromyResult
             _add_random_edge(graph)
             fresh_edges += 1
             continue
-        n_paths, n_fail, n_new = _track_batch(graph, pending, edge, forward)
+        n_paths, n_fail, n_new = _track_batch(graph, edge, forward)
         loops += 1
         paths += n_paths
         failures += n_fail
@@ -487,8 +486,8 @@ def run(graph: HomotopyGraph, opts: RunOptions | None = None) -> MonodromyResult
         # tolerances; fresh edges absorb it. Majority failure on a real batch
         # is systemic and aborts. The batch is every id the loop resolves,
         # derived ones included.
-        if len(pending) > 1 and 2 * n_fail > len(pending):
-            raise TrackFailureRate(f"{n_fail} of {len(pending)} paths failed on edge {edge.edge_id}")
+        if n_pending > 1 and 2 * n_fail > n_pending:
+            raise TrackFailureRate(f"{n_fail} of {n_pending} paths failed on edge {edge.edge_id}")
         if n_new > 0:
             fresh_edges = 0
     perms = _extract_permutations(graph)

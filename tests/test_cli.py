@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import run_python
-from monogal import cli
+from monogal import cli, monodromy
 from monogal.cli import main
 from monogal.groups import parse_perm_script
 from monogal.monodromy import (
@@ -28,7 +28,7 @@ from monogal.problems import (
     twisted_pair,
 )
 from monogal.slp import residual
-from monogal.tracker import PathSegment
+from monogal.tracker import PathSegment, TrackResult, TrackStatus
 
 
 def run_cli(capsys, *argv):
@@ -359,6 +359,19 @@ def test_monodromy_tracking_collapse(capsys, monkeypatch):
     assert "tracking collapse" in err
 
 
+def test_monodromy_every_path_failed_is_a_tracking_collapse(capsys, monkeypatch):
+    # Each loop sends one id, so no loop fails by majority; the run used to
+    # print `paths: 20`, `failures: 20` and exit 0.
+    def failing(sys, seg, x):
+        return TrackResult(TrackStatus.MinStepReached, np.asarray(x), 0, 0.0)
+
+    monkeypatch.setattr(monodromy, "track", failing)
+    code, out, err = run_cli(capsys, "monodromy", "p3p", "--seed", "1")
+    assert code == 4
+    assert out == ""
+    assert err == "error: tracking collapse: all 20 tracked paths failed\n"
+
+
 # ------------------------------------------------------------
 # track
 # ------------------------------------------------------------
@@ -465,6 +478,46 @@ def test_track_reports_a_lift_that_fails_its_check(capsys, monkeypatch, p3p_trac
     code, _, err = run_cli(capsys, "track", "p3p", str(sf), str(tf), "--seed", "9")
     assert code == 4
     assert err.startswith("error: tracking collapse: polished σ(x) is not a solution")
+
+
+def one_endpoint_track(endpoint):
+    # Stands in for cli.track: every path succeeds and ends at endpoint.
+    def track(sys, seg, x):
+        return TrackResult(TrackStatus.Success, np.array(endpoint, dtype=complex), 1, 1.0)
+    return track
+
+
+def test_track_two_sign_classes_meeting_is_a_tracking_collapse(capsys, monkeypatch, tmp_path):
+    # Two starts from distinct σ-orbits land on one target solution; the
+    # run used to print `tracked: 2/2`, `solutions: 2` and exit 0.
+    rng = np.random.default_rng(5)
+    inst0, inst1 = p3p_fabricate(rng)[0], p3p_fabricate(rng)[0]
+    classes = SolutionRegistry(deck_map=np.negative)
+    for s in p3p_conic_solve(inst0):
+        classes.register(s.as_vector())
+    starts = classes.vectors()[:2]
+    sf, tf = tmp_path / "start.json", tmp_path / "target.json"
+    sf.write_text(json.dumps(encode_solutions(inst0.as_params(), starts, [0.0, 0.0])))
+    tf.write_text(json.dumps(encode_solutions(inst1.as_params(), [], [])))
+    monkeypatch.setattr(cli, "track", one_endpoint_track(p3p_conic_solve(inst1)[0].as_vector()))
+    code, out, err = run_cli(capsys, "track", "p3p", str(sf), str(tf), "--seed", "9")
+    assert code == 4
+    assert out == ""
+    assert err == "error: tracking collapse: 2 distinct starts reached 1 distinct endpoints\n"
+
+
+def test_track_two_starts_meeting_on_a_file_system_is_a_tracking_collapse(capsys, monkeypatch, tmp_path):
+    # No deck map: the two square roots of a both reach the root 2.
+    src = tmp_path / "sqrt.txt"
+    src.write_text("params a; unknowns x; eqs x^2 - a;")
+    sf, tf = tmp_path / "start.json", tmp_path / "target.json"
+    sf.write_text(json.dumps(encode_solutions(np.array([1.0]), [np.array([1.0]), np.array([-1.0])], [0.0, 0.0])))
+    tf.write_text(json.dumps(encode_solutions(np.array([4.0]), [], [])))
+    monkeypatch.setattr(cli, "track", one_endpoint_track([2.0]))
+    code, out, err = run_cli(capsys, "track", str(src), str(sf), str(tf))
+    assert code == 4
+    assert out == ""
+    assert err == "error: tracking collapse: 2 distinct starts reached 1 distinct endpoints\n"
 
 
 def test_track_deck_pair_in_start_file_is_not_duplicated(capsys, tmp_path):

@@ -199,12 +199,11 @@ def test_run_saturation_mode():
     graph, result = cubic_run(stabilization_limit=0)
     assert result.stopped_by is StopReason.Stabilization
     assert len(result.solutions) == 3
-    # Saturated: every direction of every edge attempted everything known.
+    # Saturated: every direction of every edge sent everything known.
     for edge in graph.edges:
         n_from = len(graph.nodes[edge.from_node].registry)
         n_to = len(graph.nodes[edge.to_node].registry)
-        assert edge.attempted_forward == set(range(n_from))
-        assert edge.attempted_backward == set(range(n_to))
+        assert (edge.sent_forward, edge.sent_backward) == (n_from, n_to)
 
 
 def test_run_target_count_stops_immediately_when_met():
@@ -272,7 +271,7 @@ def test_run_stops_after_limit_fresh_edges_without_new_solution(monkeypatch, lim
     assert result.stopped_by is StopReason.Stabilization
     assert len(result.solutions) == 3
     # Nothing is pending at the stop ...
-    assert all(not pending for pending, _, _ in monodromy._direction_units(graph))
+    assert all(not monodromy._pending(graph, e, f) for e in graph.edges for f in (True, False))
     # ... and exactly `limit` fresh edges came after the last new solution.
     last_new = max(k for k, (kind, n_new) in enumerate(events) if kind == "batch" and n_new > 0)
     assert [kind for kind, _ in events[last_new:]].count("edge") == limit
@@ -290,7 +289,7 @@ def test_run_tracks_fewer_paths_than_ids_it_resolves(monkeypatch):
 
     monkeypatch.setattr(monodromy, "track", counted)
     graph, result = cubic_run()
-    resolved = sum(len(e.attempted_forward) + len(e.attempted_backward) for e in graph.edges)
+    resolved = sum(e.sent_forward + e.sent_backward for e in graph.edges)
     assert len(calls) == result.paths_tracked
     assert result.paths_tracked < resolved
     assert all(e.audited for e in graph.edges)
@@ -323,14 +322,14 @@ def test_audit_landing_on_another_id_counts_a_failure(monkeypatch):
     node1.registry.register(np.array([1.0 + 1j]))
     node1.registry.register(np.array([-1.0 + 1j]))
     edge.forward_map.update({0: 0, 1: 1})
-    edge.attempted_forward.update({0, 1})
+    edge.sent_forward = 2
     # Node 1's id 0 should return to node 0's id 0 but its audit lands on id
     # 1; id 1 is then tracked too (no derivation) and lands where it should.
     monkeypatch.setattr(monodromy, "track", fake_track([[other_root], [other_root]]))
-    paths, failures, new = monodromy._track_batch(graph, [0, 1], edge, False)
+    paths, failures, new = monodromy._track_batch(graph, edge, False)
     assert (paths, failures, new) == (2, 1, 0)
     assert edge.backward_map == {1: 1}
-    assert edge.attempted_backward == {0, 1}
+    assert edge.sent_backward == 2
     assert not edge.audited
     # The forward entry that predicted the disputed landing is gone, so
     # neither map can become a bijection and the edge feeds no permutation.
@@ -358,13 +357,14 @@ def test_audit_landing_away_from_a_lifted_entry_counts_a_failure(monkeypatch):
     node1.registry.register(np.array([1.0 + 1j]))
     node1.registry.register(np.array([3.0]))
     edge.forward_map.update({0: 0, 1: 1, 2: 3, 3: 2})
-    edge.attempted_forward.update({0, 1})
+    edge.sent_forward = 2
     # Node 1's representative 1 is the audit, ahead of representative 0,
     # because its inverse entry is the lifted one. It lands on 2i, not on
     # -2i: σ did not commute, so representative 0 is tracked too.
     monkeypatch.setattr(monodromy, "track", fake_track([[2j], [2.0]]))
-    paths, failures, new = monodromy._track_batch(graph, [0, 1], edge, False)
+    paths, failures, new = monodromy._track_batch(graph, edge, False)
     assert (paths, failures, new) == (2, 1, 0)
+    assert edge.sent_backward == 2
     assert not edge.audited
     assert edge.backward_map == {0: 0, 1: 1}
     assert edge.forward_map == {0: 0, 1: 1, 2: 3}
@@ -404,10 +404,14 @@ def test_deck_pairs_rejects_a_map_that_is_not_a_deck_map():
     problem = PROBLEMS["p3p"]
     inst, _ = p3p_fabricate(np.random.default_rng(1))
     z, sysm = inst.as_params(), problem.build_system()
-    fiber = [s.as_vector() for s in p3p_conic_solve(inst)]
-    lifted = monodromy._deck_pairs(sysm, z, problem.deck_map, fiber)
+    classes = SolutionRegistry(problem.deck_map)
+    for s in p3p_conic_solve(inst):
+        classes.register(s.as_vector())
+    reps = classes.vectors()
+    lifted = monodromy._deck_pairs(sysm, z, problem.deck_map, reps)
     assert len(lifted) == 8 and all(np.abs(y + x).max() <= 1e-12 for x, y in zip(lifted[::2], lifted[1::2]))
-    for x in fiber:
+    assert all(np.array_equal(x, rep) for x, rep in zip(lifted[::2], reps))
+    for x in reps:
         with pytest.raises(ValueError, match="not a solution"):
             monodromy._deck_pairs(sysm, z, lambda y: y * np.array([-1.0, -1.0, 1.0]), [x])
 
@@ -429,8 +433,9 @@ def test_failed_audit_passes_the_audit_to_the_next_candidate(monkeypatch):
     # Node 1's id 0 is not derivable and is tracked; id 1 is the first audit
     # and its path fails; id 2 becomes the audit and agrees.
     monkeypatch.setattr(monodromy, "track", fake_track([[roots[0]], None, [roots[2]]]))
-    paths, failures, new = monodromy._track_batch(graph, [0, 1, 2], edge, False)
+    paths, failures, new = monodromy._track_batch(graph, edge, False)
     assert (paths, failures, new) == (3, 1, 0)
+    assert edge.sent_backward == 3
     assert edge.audited
     assert edge.backward_map == {0: 0, 2: 2}
 
@@ -445,7 +450,7 @@ def test_derived_ids_count_toward_the_failure_rate(monkeypatch):
     for v in (1.0 + 1j, -1.0 + 1j, 3.0, -3.0):
         node1.registry.register(np.array([v]))
     edge.forward_map.update({0: 0, 1: 1})
-    edge.attempted_forward.update({0, 1})
+    edge.sent_forward = 2
     edge.audited = True
     monkeypatch.setattr(monodromy, "track", fake_track([None, None]))
     result = run(graph, RunOptions(stabilization_limit=0))

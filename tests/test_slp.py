@@ -109,6 +109,16 @@ def test_division_pole_raises_for_a_nan_numerator():
         evaluate(sysm, [1.0], [2.0])
 
 
+def test_division_pole_check_survives_a_modulus_that_overflows():
+    # |1.5e308 (1 + i)| is past the largest float: Python's abs raised
+    # OverflowError there, which no caller of evaluate catches.
+    huge = [1.5e308 * (1 + 1j)]
+    assert evaluate(parse_system("params a; unknowns x; eqs a/x - 1;"), [1.0], huge)[0] == -1
+    # An infinite numerator modulus puts every finite denominator at a pole.
+    with pytest.raises(EvaluationSingular):
+        evaluate(parse_system("params a; unknowns x; eqs x/a - 1;"), [1.0], huge)
+
+
 def test_pow_rejects_bad_exponents():
     b = SystemBuilder(parameters=("z",), unknowns=("x",))
     x = b.unknown("x")
