@@ -11,10 +11,19 @@ otherwise. Solutions are continued along phi by integrating the Davidenko ODE
 
 with a 4th-order Runge-Kutta predictor and a Newton corrector at fixed t,
 growing the step by 1.5 after an accepted step and halving it after a
-rejected one. Each RK4 stage makes one call to the system's generated
-evaluator, which returns df/dx and (df/dz) phi'(t) from one pass. One Newton
-loop is the corrector, the endpoint polish and refine, on square systems.
-Step sizes, tolerances and budgets are fixed module constants, not options.
+rejected one. One Newton loop is the corrector, the endpoint polish and
+refine, on square systems. Step sizes, tolerances and budgets are fixed
+module constants, not options.
+
+Each RK4 stage is one tangent solve, J k = -(df/dz) phi'(t). A small square
+system has fused kernels (see monogal._compile): the stage, and each
+corrector iteration, is one call of generated straight-line code that
+evaluates and solves on Python complexes. When its corrector accepts, it
+hands over the tangent at the accepted point, which is the next step's k1
+(first same as last). Any other system makes one evaluator call per stage
+and solves with lu_solve; the corrector's Jacobian carries no direction
+there, so there is no such hand-over. A rejected step keeps t, x and phi(t),
+so every system keeps its k1 across it.
 
 The per-step arithmetic runs on Python lists of complexes, the evaluator's
 own type, with the operations numpy's arrays did in the same order, so it
@@ -24,12 +33,15 @@ segment twice: at t + h/2 for k2 and k3, and at t + h for k4, the
 corrector and, once accepted, the next step's k1. Tracking is
 deterministic: identical inputs produce identical results bit for bit, at
 any BLAS thread count for systems of up to 96 unknowns (see monogal.linalg).
+An evaluation that overflows (OverflowError from a power) rejects the step,
+and ends a Newton loop with residual inf.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -50,6 +62,7 @@ __all__ = [
     "refine",
 ]
 
+_INF = float("inf")
 _DIVERGENCE_BOUND = 1e8
 # Step control: the first step, its bounds and its growth and shrink factors.
 _INITIAL_STEP = 0.05
@@ -187,16 +200,38 @@ def _require_square(sys: GateSystem) -> None:
         raise ValueError(f"system is not square: {sys.num_outputs} outputs, {sys.num_unknowns} unknowns")
 
 
-def _newton(comp: CompiledSystem, z: list, x: list, iters: int, tol: float | None = None) -> tuple[list, float]:
-    # One value_and_jac per step until max|f| <= tol (None: rounding level,
-    # 1e-15 * (1 + max|x|)); after the last step, that iterate's residual alone.
-    for _ in range(iters):
-        f, jac, _ = comp.value_and_jac(z, x)
-        res = _maxabs(f)
-        if res <= (1e-15 * (1.0 + _maxabs(x)) if tol is None else tol):
-            return x, res
-        x = [a + b for a, b in zip(x, lu_solve(jac, [-e for e in f]).tolist())]
-    return x, comp.residual(z, x)
+def _newton(comp: CompiledSystem, z: list, x: list, iters: int, tol: float | None = None,
+            v: list | None = None) -> tuple[list, float, list | None]:
+    # Up to iters Newton steps until max|f| <= tol (None: rounding level,
+    # 1e-15 * (1 + max|x|)); after the last step, that iterate's residual
+    # alone. Returns (x, residual, k): k is the tangent for direction v at
+    # the returned x, which only a fused kernel hands over, on acceptance.
+    # An overflowing evaluation ends the loop with residual inf.
+    correct = comp.correct
+    try:
+        if correct is None:
+            for _ in range(iters):
+                f, jac, _ = comp.value_and_jac(z, x)
+                res = _maxabs(f)
+                if res <= (1e-15 * (1.0 + _maxabs(x)) if tol is None else tol):
+                    return x, res, None
+                x = [a + b for a, b in zip(x, lu_solve(jac, [-e for e in f]).tolist())]
+            return x, comp.residual(z, x), None
+        for _ in range(iters):
+            res, x_new, k = correct(z, x, 1e-15 * (1.0 + _maxabs(x)) if tol is None else tol, v, True)
+            if x_new is None:
+                return x, res, k
+            x = x_new
+        res, _, k = correct(z, x, 1e-15 * (1.0 + _maxabs(x)) if tol is None else tol, v, False)
+        return x, res, k
+    except OverflowError:
+        return x, _INF, None
+
+
+def _lu_tangent(comp: CompiledSystem, z: list, x: list, v: list) -> list:
+    # The RK4 stage of a system without fused kernels: J k = -(df/dz) @ v.
+    _, jac, d = comp.value_and_jac(z, x, v)
+    return lu_solve(jac, [-e for e in d]).tolist()
 
 
 def refine(sys: GateSystem, z, x, iters: int) -> RefineOutcome:
@@ -210,7 +245,7 @@ def refine(sys: GateSystem, z, x, iters: int) -> RefineOutcome:
     _require_square(sys)
     z, x = np.asarray(z, dtype=complex).tolist(), np.array(x, dtype=complex).tolist()
     with _quiet():
-        x, res = _newton(compiled_for(sys), z, x, iters)
+        x, res, _ = _newton(compiled_for(sys), z, x, iters)
     return RefineOutcome(np.array(x, dtype=complex), res)
 
 
@@ -241,7 +276,11 @@ def track(sys: GateSystem, seg: PathSegment, x_start) -> TrackResult:
                          f"the system's ({sys.num_parameters},)")
     comp = compiled_for(sys)
     with _quiet():
-        if not comp.residual(seg.z_start, x) <= 1e-6:  # also rejects NaN
+        try:
+            res = comp.residual(seg.z_start, x)
+        except OverflowError:  # a power of x_start overflows
+            res = _INF
+        if not res <= 1e-6:  # also rejects NaN
             raise ValueError("x_start is not a solution at the segment start (residual > 1e-6)")
         x, status, steps, t = _track(comp, seg, x.tolist())
     return TrackResult(status, np.array(x, dtype=complex), steps, t)
@@ -253,15 +292,13 @@ def _track(comp: CompiledSystem, seg: PathSegment, x: list) -> tuple[list, Track
     h = _INITIAL_STEP
     steps = 0
     z_end = seg.z_end.tolist()
+    tangent = comp.tangent or partial(_lu_tangent, comp)
     start = None  # (phi(t), phi'(t)), kept while t stays
+    k1 = None  # the tangent at (t, x), kept while they stay
 
     def point(t_at: float) -> tuple[list, list]:
         phi, dphi = _segment_eval(seg, t_at)
         return phi.tolist(), dphi.tolist()
-
-    def rhs(pt: tuple[list, list], x_at: list) -> list:
-        _, jac, b = comp.value_and_jac(pt[0], x_at, pt[1])
-        return lu_solve(jac, [-e for e in b]).tolist()
 
     while t < 1.0:
         if steps >= _MAX_STEPS:
@@ -273,28 +310,33 @@ def _track(comp: CompiledSystem, seg: PathSegment, x: list) -> tuple[list, Track
             # the corrector's parameters and, once accepted, the next k1's.
             if start is None:
                 start = point(t)
-            k1 = rhs(start, x)
+            if k1 is None:
+                k1 = tangent(start[0], x, start[1])
             half = h_eff / 2.0
             mid = point(t + half)
-            k2 = rhs(mid, [a + half * b for a, b in zip(x, k1)])
-            k3 = rhs(mid, [a + half * b for a, b in zip(x, k2)])
+            k2 = tangent(mid[0], [a + half * b for a, b in zip(x, k1)], mid[1])
+            k3 = tangent(mid[0], [a + half * b for a, b in zip(x, k2)], mid[1])
             end = point(t + h_eff)
-            k4 = rhs(end, [a + h_eff * b for a, b in zip(x, k3)])
+            k4 = tangent(end[0], [a + h_eff * b for a, b in zip(x, k3)], end[1])
             sixth = h_eff / 6.0
             x_pred = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
                       for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
-            # Newton corrector at fixed t + h_eff; the last step lands on z_end.
-            t_new = 1.0 if h_eff >= 1.0 - t else t + h_eff
-            x_corr, res = _newton(comp, z_end if t_new == 1.0 else end[0], x_pred,
-                                  _MAX_CORRECTOR_ITERS, _CORRECTOR_TOL)
+            # Newton corrector at fixed t + h_eff; the last step lands on
+            # z_end and needs no next k1.
+            if h_eff >= 1.0 - t:
+                t_new, z_new, v_new = 1.0, z_end, None
+            else:
+                t_new, z_new, v_new = t + h_eff, end[0], end[1]
+            x_corr, res, k_corr = _newton(comp, z_new, x_pred, _MAX_CORRECTOR_ITERS, _CORRECTOR_TOL, v_new)
             accepted = res <= _CORRECTOR_TOL
-        except (SingularMatrix, EvaluationSingular, DegeneratePath):
+        except (SingularMatrix, EvaluationSingular, DegeneratePath, OverflowError):
             accepted = False
 
         if accepted:
             x = x_corr
             t = t_new
             start = end
+            k1 = k_corr
             if _maxabs(x) > _DIVERGENCE_BOUND:
                 return x, TrackStatus.CorrectorDiverged, steps, t
             h = min(h * _STEP_INCREASE, _MAX_STEP)
@@ -305,7 +347,7 @@ def _track(comp: CompiledSystem, seg: PathSegment, x: list) -> tuple[list, Track
 
     # Endpoint refinement at the exact target parameters.
     try:
-        x, res = _newton(comp, z_end, x, _ENDPOINT_REFINE_ITERS)
+        x, res, _ = _newton(comp, z_end, x, _ENDPOINT_REFINE_ITERS)
     except (SingularMatrix, EvaluationSingular):
         return x, TrackStatus.SingularEndpoint, steps, 1.0
     if res <= 10.0 * _CORRECTOR_TOL and _maxabs(x) <= _DIVERGENCE_BOUND:

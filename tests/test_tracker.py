@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import run_python
-from monogal import tracker
+from monogal import _compile, tracker
+from monogal._compile import compiled_for
 from monogal.linalg import SingularMatrix, lu_solve
-from monogal.slp import SystemBuilder, residual
+from monogal.slp import SystemBuilder, parse_system, residual
 from monogal.tracker import (
     DegeneratePath,
     PathSegment,
@@ -216,23 +217,27 @@ def test_track_many_order_and_independence():
 
 # Runs in a child interpreter (conftest.run_python): tracks eight P3P paths
 # with lu_solve and again with the scipy reference solve, and prints "equal"
-# when every path has the same status, steps, t and endpoint bits.
+# when every path has the same status, steps, t and endpoint bits. P3P is
+# compiled without fused kernels, which do not call lu_solve, so it takes
+# the route of every larger system.
 TRACK_CHILD = """
 import numpy as np
 
 from conftest import reference_lu_solve
-from monogal import tracker
+from monogal import _compile, tracker
 from monogal.problems import p3p_conic_solve, p3p_fabricate, p3p_system
 from monogal.tracker import PathSegment, track
 
 def unit_gamma(rng):
     return complex(np.exp(2j * np.pi * rng.random()))
 
+_compile._FUSED_MAX_UNKNOWNS = 0
 rng = np.random.default_rng(5)
 inst, _ = p3p_fabricate(rng)
 target, _ = p3p_fabricate(rng)
 seg = PathSegment(inst.as_params(), target.as_params(), unit_gamma(rng), unit_gamma(rng))
 sysm = p3p_system()
+assert _compile.compiled_for(sysm).tangent is None
 starts = [sol.as_vector() for sol in p3p_conic_solve(inst)]
 shipped = [track(sysm, seg, x) for x in starts]
 tracker.lu_solve = reference_lu_solve
@@ -266,6 +271,83 @@ def test_track_and_refine_at_a_singular_jacobian_do_not_warn():
         assert result.t_reached == 0.0
         with pytest.raises(SingularMatrix):
             refine(sysm, [4.0], [0.0], iters=3)
+
+
+@pytest.fixture(params=["fused", "lu_solve"])
+def route(request, monkeypatch):
+    """Systems built in the test get fused kernels, or take the evaluator and
+    lu_solve route of systems larger than _FUSED_MAX_UNKNOWNS."""
+    if request.param == "lu_solve":
+        monkeypatch.setattr(_compile, "_FUSED_MAX_UNKNOWNS", 0)
+    return request.param
+
+
+def test_track_rejects_a_step_whose_evaluation_overflows(route):
+    # From x = 1e-100 the tangent of x^3 - z is 3e199, so x^3 at the first
+    # predictor overflows, which Python's complex power raises.
+    sysm = parse_system("params z; unknowns x; eqs x^3 - z;")
+    result = track(sysm, PathSegment([1e-300], [1.0]), [1e-100])
+    assert (compiled_for(sysm).tangent is None) == (route == "lu_solve")
+    assert result.status is TrackStatus.MinStepReached
+    assert result.t_reached == 0.0
+    with pytest.raises(ValueError, match="not a solution"):  # a start whose cube overflows
+        track(sysm, PathSegment([1.0], [2.0]), [1e200])
+
+
+def test_refine_whose_evaluation_overflows_reads_residual_inf(route):
+    # The first Newton step from 1e-170 goes to 5e169, whose square overflows.
+    out = refine(parse_system("params z; unknowns x; eqs x^2 - z;"), [1.0], [1e-170], 3)
+    assert out.residual == math.inf
+    assert out.x[0] == 5e169
+
+
+def test_a_rejected_step_keeps_its_k1(monkeypatch, route):
+    sysm = cubic_system()
+    comp = compiled_for(sysm)
+    calls = []
+
+    def recording(fn, has_v):
+        def wrapper(*args):
+            if has_v(args):
+                calls.append(tuple(tuple(a) for a in args[:3]))
+            return fn(*args)
+        return wrapper
+
+    # Every RK4 stage is one tangent, or one value_and_jac with a direction.
+    if route == "fused":
+        monkeypatch.setattr(comp, "tangent", recording(comp.tangent, lambda args: True))
+    else:
+        monkeypatch.setattr(comp, "value_and_jac", recording(comp.value_and_jac, lambda args: len(args) == 3))
+    real_newton = tracker._newton
+    corrections = []
+
+    def newton(comp, z, x, iters, tol=None, v=None):
+        if tol is None:  # the endpoint polish
+            return real_newton(comp, z, x, iters, tol, v)
+        if not corrections:  # reject the first step
+            corrections.append(False)
+            return x, math.inf, None
+        out = real_newton(comp, z, x, iters, tol, v)
+        corrections.append(out[1] <= tol)
+        return out
+
+    monkeypatch.setattr(tracker, "_newton", newton)
+    rng = np.random.default_rng(2)
+    seg = PathSegment([0.0, -8.0], rng.standard_normal(2) + 1j * rng.standard_normal(2),
+                      unit_gamma(rng), unit_gamma(rng))
+    result = track(sysm, seg, [2.0])
+    assert result.success
+    assert len(corrections) == result.steps_taken and not corrections[0]
+    # No tangent is evaluated twice: the retried step starts from the same
+    # t and x, so it keeps the k1 of the rejected one.
+    assert len(set(calls)) == len(calls)
+    # One k1 per accepted step, the first one's included and the last one's
+    # left out; fused kernels hand over the corrector's instead.
+    k1s = len(calls) - 3 * result.steps_taken
+    if route == "fused":
+        assert 1 <= k1s < sum(corrections)
+    else:
+        assert k1s == sum(corrections)
 
 
 def test_maxabs_is_nan_wherever_the_nan_sits():
