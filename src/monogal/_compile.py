@@ -16,15 +16,14 @@ its parent's evaluator composed with the retained coefficient matrix. The
 public slp evaluation functions call this evaluator.
 
 A square system of at most _FUSED_MAX_UNKNOWNS unknowns that is not squared
-up also gets two fused kernels, which the tracker calls instead of the
+up also gets the tracker's two stage kernels, fused, in place of the
 evaluator and the linear solve:
 
-- tangent(z, x, v) evaluates the values, J and d = (df/dz) @ v and returns
-  the k that solves J k = -d;
-- correct(z, x, tol, v, step) evaluates the values and their largest
-  modulus res; at res <= tol it returns no iterate and, when v is given,
-  the tangent at that same point, and otherwise (if step) the Newton
-  iterate x - J^-1 f.
+- tangent(z, x, v) evaluates the divisions (for their pole checks), J and
+  d = (df/dz) @ v, but no value f, and returns the k that solves J k = -d;
+- correct(z, x, tol, step) evaluates the values and their largest modulus
+  res, and returns (res, x - J^-1 f) when res > tol and step, else (res,
+  None).
 
 Both solve by Gaussian elimination with partial pivoting, unrolled on local
 Python complexes, with no numpy array and no gufunc call. An exactly zero
@@ -156,16 +155,14 @@ class _Kernels:
                 self.dir[row] = f"v{cols[n_unk]}"
                 self.dir_roots.append(cols[n_unk])
 
-    def emit(self, lines: list[str], roots: list[int], done: set[int], indent: str = "") -> None:
-        """The lines of the nodes that roots reach and done does not hold,
-        in evaluation order, indented one level plus indent; adds them to
-        done. Only the system's own divisions check for a pole."""
-        block: list[str] = []
+    def emit(self, lines: list[str], roots: list[int], done: set[int]) -> None:
+        """Appends the lines of the nodes that roots reach and done does not
+        hold, in evaluation order, and adds them to done. Only the system's
+        own divisions check for a pole."""
         for nid in _reachable(self.nodes, roots):
             if nid not in done:
                 done.add(nid)
-                _emit_node_line(block, nid, self.nodes[nid], nid in self.poles)
-        lines.extend(indent + line for line in block)
+                _emit_node_line(lines, nid, self.nodes[nid], nid in self.poles)
 
     def evaluator(self) -> list[str]:
         """_eval(z, x, v, jac) -> (f, J, d) on lists: f and d are lists, J an
@@ -184,30 +181,22 @@ class _Kernels:
         lines.append("    return f, J, d")
         return lines
 
-    def solve(self, lines: list[str], rhs: list[str], out: str, indent: str = "") -> list[str]:
-        """Emits the solve of J out = -rhs like emit; returns the names out0, ..."""
-        names = [f"{out}{i}" for i in range(self.n_unk)]
-        block: list[str] = []
-        _emit_solve(block, self.jac, [f"-{e}" for e in rhs], names)
-        lines.extend(indent + line for line in block)
-        return names
-
     def tangent(self) -> list[str]:
-        """_tangent(z, x, v) -> k with J k = -(df/dz) @ v, a list."""
+        """_tangent(z, x, v) -> k with J k = -(df/dz) @ v, a list. It emits
+        the divisions, for their pole checks, J and d, but no value f."""
         lines, done = ["def _tangent(z, x, v):"], set()
-        for roots in (self.value_roots, self.jac_roots, self.dir_roots):
+        for roots in (sorted(self.poles), self.jac_roots, self.dir_roots):
             self.emit(lines, roots, done)
-        k = self.solve(lines, self.dir, "k")
+        k = [f"k{i}" for i in range(self.n_unk)]
+        _emit_solve(lines, self.jac, [f"-{e}" for e in self.dir], k)
         lines.append(f"    return [{', '.join(k)}]")
         return lines
 
     def correct(self) -> list[str]:
-        """_correct(z, x, tol, v, step) -> (res, x_new, k): res = max|f| (NaN
-        when any |f_i| is NaN). At res <= tol, x_new is None and k is the
-        tangent at x when v is given and its solve succeeds, else None.
-        Otherwise k is None and x_new the Newton iterate, or None unless
-        step."""
-        lines, done = ["def _correct(z, x, tol, v, step):"], set()
+        """_correct(z, x, tol, step) -> (res, x_new): res = max|f| (NaN when
+        any |f_i| is NaN); x_new is the Newton iterate when res > tol and
+        step, else None."""
+        lines, done = ["def _correct(z, x, tol, step):"], set()
         self.emit(lines, self.value_roots, done)
         mods = [f"hypot({e}.real, {e}.imag)" for e in self.values]
         if len(mods) == 1:
@@ -218,21 +207,11 @@ class _Kernels:
             # max() keeps a NaN only in first place; the sum is NaN wherever.
             lines.append(f"    res = {' + '.join(rs)}")
             lines.append(f"    if res == res: res = max({', '.join(rs)})")
-        lines.append("    if res <= tol:")
-        lines.append("        if v is None: return res, None, None")
-        # First same as last: the next step's k1 is this point's tangent. A
-        # tangent that fails is left to that step, which meets it again.
-        lines.append("        try:")
-        branch = set(done)
-        for roots in (self.jac_roots, self.dir_roots):
-            self.emit(lines, roots, branch, "        ")
-        k = self.solve(lines, self.dir, "k", "        ")
-        lines.append("        except (SingularMatrix, OverflowError): return res, None, None")
-        lines.append(f"        return res, None, [{', '.join(k)}]")
-        lines.append("    if not step: return res, None, None")
+        lines.append("    if res <= tol or not step: return res, None")
         self.emit(lines, self.jac_roots, done)
-        s = self.solve(lines, self.values, "s")
-        lines.append(f"    return res, [{', '.join(f'x[{i}] + {e}' for i, e in enumerate(s))}], None")
+        s = [f"s{i}" for i in range(self.n_unk)]
+        _emit_solve(lines, self.jac, [f"-{e}" for e in self.values], s)
+        lines.append(f"    return res, [{', '.join(f'x[{i}] + {e}' for i, e in enumerate(s))}]")
         return lines
 
 
@@ -251,9 +230,10 @@ def _generate(sys: GateSystem, fused: bool) -> dict:
 class CompiledSystem:
     """Fast evaluator for one GateSystem; build once, call many times.
 
-    tangent and correct are the fused kernels (see the module docstring),
-    or None for a system that is not square, is squared up or has more
-    than _FUSED_MAX_UNKNOWNS unknowns.
+    tangent and correct are the fused stage kernels (see the module
+    docstring), or None for a system that is not square, is squared up or
+    has more than _FUSED_MAX_UNKNOWNS unknowns; the tracker then builds the
+    same pair on value_and_jac, residual and lu_solve.
     """
 
     def __init__(self, sys: GateSystem):

@@ -41,7 +41,7 @@ from .monodromy import (
     run,
 )
 from .problems import PROBLEMS, InvalidProbability, NoInlierSample, ransac_trials
-from .slp import GateSystem, ParseError, RankDeficient, parse_system, residual, square_up
+from .slp import EvaluationSingular, GateSystem, ParseError, RankDeficient, parse_system, residual, square_up
 from .tracker import PathSegment, track
 
 EXIT_OK = 0
@@ -116,6 +116,9 @@ def _read_solutions(path: str, sysm: GateSystem, what: str):
         _err(f"{what} do not fit the system: it has {sysm.num_parameters} parameters "
              f"and {sysm.num_unknowns} unknowns")
         return EXIT_BAD_INPUT
+    if not (np.isfinite(z).all() and all(np.isfinite(x).all() for x in sols)):
+        _err(f"{what} hold a non-finite number")
+        return EXIT_BAD_INPUT
     return z, sols
 
 
@@ -167,6 +170,9 @@ def cmd_monodromy(args) -> int:
     except RankDeficient as exc:
         _err(f"rank failure: {exc}")
         return EXIT_RANK
+    except EvaluationSingular as exc:  # square_up's Jacobian at a seed on a pole
+        _err(f"seed solution sits on a pole ({exc})")
+        return EXIT_BAD_INPUT
     except ValueError as exc:
         _err(str(exc))
         return EXIT_BAD_INPUT
@@ -239,6 +245,14 @@ def _report_group(G: groupmod.PermGroup, summary_blocks: bool,
 # ------------------------------------------------------------
 
 
+def _start_residual(sysm: GateSystem, z, x) -> float:
+    # residual, and inf for a start on a pole, which solves nothing.
+    try:
+        return residual(sysm, z, x)
+    except EvaluationSingular:
+        return float("inf")
+
+
 def cmd_track(args) -> int:
     rng = np.random.default_rng(args.seed)
     loaded = _load_system(args.system)
@@ -262,7 +276,7 @@ def cmd_track(args) -> int:
         # Square up at the first start that solves the full system to
         # track's bar (absolute residual 1e-6); track itself checks each
         # start against the squared-up system.
-        x_square = next((x for x in starts if residual(sysm, z_start, x) <= 1e-6), None)
+        x_square = next((x for x in starts if _start_residual(sysm, z_start, x) <= 1e-6), None)
         if x_square is None:
             _err("no start solution satisfies the system; cannot square up")
             return EXIT_PATH_FAILURES

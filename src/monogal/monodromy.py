@@ -32,7 +32,7 @@ import numpy as np
 
 from .groups import Permutation
 from .linalg import numerical_rank
-from .slp import GateSystem, RankDeficient, jacobian_unknowns, residual
+from .slp import EvaluationSingular, GateSystem, RankDeficient, jacobian_unknowns, residual
 from .tracker import PathSegment, refine, track
 
 __all__ = [
@@ -240,7 +240,7 @@ def build_graph(sys: GateSystem, z0: np.ndarray, x0: np.ndarray, n_nodes: int,
             _BELOW_DEGREE_FRESH_EDGES (16) fresh edges found nothing new.
 
     Raises:
-        ValueError: fewer than 2 nodes, wrong shapes, or a seed residual above 1e-8.
+        ValueError: fewer than 2 nodes, wrong shapes, or a seed residual above 1e-8 or at a pole.
         RankDeficient: the Jacobian in the unknowns is singular at (z0, x0).
     """
     if n_nodes < 2:
@@ -253,7 +253,10 @@ def build_graph(sys: GateSystem, z0: np.ndarray, x0: np.ndarray, n_nodes: int,
     x0 = np.asarray(x0, dtype=complex).ravel()
     if len(z0) != len(sys.parameter_names) or len(x0) != n_unk:
         raise ValueError("parameter or unknown vector has the wrong length")
-    res = residual(sys, z0, x0)
+    try:
+        res = residual(sys, z0, x0)
+    except EvaluationSingular as exc:
+        raise ValueError(f"seed solution sits on a pole ({exc})") from None
     if not res <= 1e-8:  # also rejects NaN
         raise ValueError(f"seed residual {res:.3e} exceeds 1e-8")
     jac = jacobian_unknowns(sys, z0, x0)

@@ -15,15 +15,14 @@ rejected one. One Newton loop is the corrector, the endpoint polish and
 refine, on square systems. Step sizes, tolerances and budgets are fixed
 module constants, not options.
 
-Each RK4 stage is one tangent solve, J k = -(df/dz) phi'(t). A small square
-system has fused kernels (see monogal._compile): the stage, and each
-corrector iteration, is one call of generated straight-line code that
-evaluates and solves on Python complexes. When its corrector accepts, it
-hands over the tangent at the accepted point, which is the next step's k1
-(first same as last). Any other system makes one evaluator call per stage
-and solves with lu_solve; the corrector's Jacobian carries no direction
-there, so there is no such hand-over. A rejected step keeps t, x and phi(t),
-so every system keeps its k1 across it.
+Every system reaches the tracker as one pair of stage functions, chosen
+once by _stages: tangent(z, x, v) -> k, one RK4 stage, solves
+J k = -(df/dz) v, and correct(z, x, tol, step) -> (res, x_new), one Newton
+iteration, returns res = max|f| and the iterate x - J^-1 f, or None when
+res <= tol or not step. A small square system's pair is its fused kernels
+(see monogal._compile); any other system's calls the evaluator and
+lu_solve. A step computes its k1 first; a rejected step keeps t, x and
+phi(t), and so its k1, and an accepted one drops it.
 
 The per-step arithmetic runs on Python lists of complexes, the evaluator's
 own type, with the operations numpy's arrays did in the same order, so it
@@ -42,7 +41,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import partial
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -108,8 +107,10 @@ class PathSegment:
         object.__setattr__(self, "gamma_end", complex(self.gamma_end))
         if self.z_start.shape != self.z_end.shape or self.z_start.ndim != 1:
             raise ValueError("segment endpoints must be vectors of equal length")
+        if not (np.isfinite(self.z_start).all() and np.isfinite(self.z_end).all()):
+            raise ValueError("segment endpoints must be finite")
         for g in (self.gamma_start, self.gamma_end):
-            if abs(abs(g) - 1.0) > 1e-12:
+            if not abs(abs(g) - 1.0) <= 1e-12:  # also rejects NaN
                 raise ValueError(f"gamma {g} is not unit modulus")
         g0, g1 = self.gamma_start, self.gamma_end
         object.__setattr__(self, "_dnum", g1 * self.z_end - g0 * self.z_start)
@@ -200,38 +201,44 @@ def _require_square(sys: GateSystem) -> None:
         raise ValueError(f"system is not square: {sys.num_outputs} outputs, {sys.num_unknowns} unknowns")
 
 
-def _newton(comp: CompiledSystem, z: list, x: list, iters: int, tol: float | None = None,
-            v: list | None = None) -> tuple[list, float, list | None]:
-    # Up to iters Newton steps until max|f| <= tol (None: rounding level,
-    # 1e-15 * (1 + max|x|)); after the last step, that iterate's residual
-    # alone. Returns (x, residual, k): k is the tangent for direction v at
-    # the returned x, which only a fused kernel hands over, on acceptance.
-    # An overflowing evaluation ends the loop with residual inf.
-    correct = comp.correct
-    try:
-        if correct is None:
-            for _ in range(iters):
-                f, jac, _ = comp.value_and_jac(z, x)
-                res = _maxabs(f)
-                if res <= (1e-15 * (1.0 + _maxabs(x)) if tol is None else tol):
-                    return x, res, None
-                x = [a + b for a, b in zip(x, lu_solve(jac, [-e for e in f]).tolist())]
-            return x, comp.residual(z, x), None
-        for _ in range(iters):
-            res, x_new, k = correct(z, x, 1e-15 * (1.0 + _maxabs(x)) if tol is None else tol, v, True)
-            if x_new is None:
-                return x, res, k
-            x = x_new
-        res, _, k = correct(z, x, 1e-15 * (1.0 + _maxabs(x)) if tol is None else tol, v, False)
-        return x, res, k
-    except OverflowError:
-        return x, _INF, None
-
-
 def _lu_tangent(comp: CompiledSystem, z: list, x: list, v: list) -> list:
-    # The RK4 stage of a system without fused kernels: J k = -(df/dz) @ v.
+    # The tangent stage of a system without fused kernels.
     _, jac, d = comp.value_and_jac(z, x, v)
     return lu_solve(jac, [-e for e in d]).tolist()
+
+
+def _lu_correct(comp: CompiledSystem, z: list, x: list, tol: float, step: bool) -> tuple[float, list | None]:
+    # The corrector stage of a system without fused kernels.
+    if not step:
+        return comp.residual(z, x), None
+    f, jac, _ = comp.value_and_jac(z, x)
+    res = _maxabs(f)
+    if res <= tol:
+        return res, None
+    return res, [a + b for a, b in zip(x, lu_solve(jac, [-e for e in f]).tolist())]
+
+
+def _stages(comp: CompiledSystem) -> tuple[Callable, Callable]:
+    # The (tangent, correct) pair of a square system (see the module docstring).
+    if comp.tangent is not None:
+        return comp.tangent, comp.correct
+    return partial(_lu_tangent, comp), partial(_lu_correct, comp)
+
+
+def _newton(correct: Callable, z: list, x: list, iters: int, tol: float | None = None) -> tuple[list, float]:
+    # Up to iters Newton steps until max|f| <= tol (None: rounding level,
+    # 1e-15 * (1 + max|x|)); after the last step, that iterate's residual
+    # alone. Returns (x, residual); an overflowing evaluation ends the loop
+    # with residual inf.
+    try:
+        for _ in range(iters):
+            res, x_new = correct(z, x, 1e-15 * (1.0 + _maxabs(x)) if tol is None else tol, True)
+            if x_new is None:
+                return x, res
+            x = x_new
+        return x, correct(z, x, 0.0, False)[0]
+    except OverflowError:
+        return x, _INF
 
 
 def refine(sys: GateSystem, z, x, iters: int) -> RefineOutcome:
@@ -245,7 +252,7 @@ def refine(sys: GateSystem, z, x, iters: int) -> RefineOutcome:
     _require_square(sys)
     z, x = np.asarray(z, dtype=complex).tolist(), np.array(x, dtype=complex).tolist()
     with _quiet():
-        x, res, _ = _newton(compiled_for(sys), z, x, iters)
+        x, res = _newton(_stages(compiled_for(sys))[1], z, x, iters)
     return RefineOutcome(np.array(x, dtype=complex), res)
 
 
@@ -265,7 +272,7 @@ def track(sys: GateSystem, seg: PathSegment, x_start) -> TrackResult:
     Raises:
         ValueError: sys is not square, x_start or the segment's parameters
             have the wrong shape, or x_start is not a solution (a NaN
-            residual included).
+            residual and a pole included).
     """
     _require_square(sys)
     x = np.asarray(x_start, dtype=complex)
@@ -274,25 +281,24 @@ def track(sys: GateSystem, seg: PathSegment, x_start) -> TrackResult:
     if seg.z_start.shape != (sys.num_parameters,):
         raise ValueError(f"segment parameter shape {seg.z_start.shape} does not match "
                          f"the system's ({sys.num_parameters},)")
-    comp = compiled_for(sys)
+    tangent, correct = _stages(compiled_for(sys))
     with _quiet():
         try:
-            res = comp.residual(seg.z_start, x)
-        except OverflowError:  # a power of x_start overflows
+            x, res = _newton(correct, seg.z_start.tolist(), x.tolist(), 0)
+        except EvaluationSingular:  # x_start sits on a pole
             res = _INF
         if not res <= 1e-6:  # also rejects NaN
             raise ValueError("x_start is not a solution at the segment start (residual > 1e-6)")
-        x, status, steps, t = _track(comp, seg, x.tolist())
+        x, status, steps, t = _track(tangent, correct, seg, x)
     return TrackResult(status, np.array(x, dtype=complex), steps, t)
 
 
-def _track(comp: CompiledSystem, seg: PathSegment, x: list) -> tuple[list, TrackStatus, int, float]:
+def _track(tangent: Callable, correct: Callable, seg: PathSegment, x: list) -> tuple[list, TrackStatus, int, float]:
     # The loop of track on lists: (last x, status, steps, t reached).
     t = 0.0
     h = _INITIAL_STEP
     steps = 0
     z_end = seg.z_end.tolist()
-    tangent = comp.tangent or partial(_lu_tangent, comp)
     start = None  # (phi(t), phi'(t)), kept while t stays
     k1 = None  # the tangent at (t, x), kept while they stay
 
@@ -307,7 +313,7 @@ def _track(comp: CompiledSystem, seg: PathSegment, x: list) -> tuple[list, Track
         h_eff = min(h, 1.0 - t)
         try:
             # RK4 predictor: k2 and k3 share phi(t + h/2), and phi(t + h) is
-            # the corrector's parameters and, once accepted, the next k1's.
+            # the corrector's parameters and, once accepted, the next step's.
             if start is None:
                 start = point(t)
             if k1 is None:
@@ -321,13 +327,9 @@ def _track(comp: CompiledSystem, seg: PathSegment, x: list) -> tuple[list, Track
             sixth = h_eff / 6.0
             x_pred = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
                       for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
-            # Newton corrector at fixed t + h_eff; the last step lands on
-            # z_end and needs no next k1.
-            if h_eff >= 1.0 - t:
-                t_new, z_new, v_new = 1.0, z_end, None
-            else:
-                t_new, z_new, v_new = t + h_eff, end[0], end[1]
-            x_corr, res, k_corr = _newton(comp, z_new, x_pred, _MAX_CORRECTOR_ITERS, _CORRECTOR_TOL, v_new)
+            # Newton corrector at fixed t + h_eff; the last step lands on z_end.
+            t_new, z_new = (1.0, z_end) if h_eff >= 1.0 - t else (t + h_eff, end[0])
+            x_corr, res = _newton(correct, z_new, x_pred, _MAX_CORRECTOR_ITERS, _CORRECTOR_TOL)
             accepted = res <= _CORRECTOR_TOL
         except (SingularMatrix, EvaluationSingular, DegeneratePath, OverflowError):
             accepted = False
@@ -336,7 +338,7 @@ def _track(comp: CompiledSystem, seg: PathSegment, x: list) -> tuple[list, Track
             x = x_corr
             t = t_new
             start = end
-            k1 = k_corr
+            k1 = None
             if _maxabs(x) > _DIVERGENCE_BOUND:
                 return x, TrackStatus.CorrectorDiverged, steps, t
             h = min(h * _STEP_INCREASE, _MAX_STEP)
@@ -347,7 +349,7 @@ def _track(comp: CompiledSystem, seg: PathSegment, x: list) -> tuple[list, Track
 
     # Endpoint refinement at the exact target parameters.
     try:
-        x, res, _ = _newton(comp, z_end, x, _ENDPOINT_REFINE_ITERS)
+        x, res = _newton(correct, z_end, x, _ENDPOINT_REFINE_ITERS)
     except (SingularMatrix, EvaluationSingular):
         return x, TrackStatus.SingularEndpoint, steps, 1.0
     if res <= 10.0 * _CORRECTOR_TOL and _maxabs(x) <= _DIVERGENCE_BOUND:

@@ -288,7 +288,28 @@ def test_monodromy_rejects_nan_start(capsys, tmp_path):
     start.write_text(json.dumps(doc))
     code, _, err = run_cli(capsys, "monodromy", src, "--start", str(start))
     assert code == 2
-    assert "seed residual nan exceeds 1e-8" in err
+    assert err.startswith("error: start solutions hold a non-finite number")
+
+
+POLE_SOURCE = "params a; unknowns x; eqs a/x - 1;"
+
+
+def write_pole_start(tmp_path, source=POLE_SOURCE, starts=(0.0,), a=0.0):
+    # x = 0 at a = 0 sits on the pole of a/x.
+    src, sf, tf = tmp_path / "pole.txt", tmp_path / "start.json", tmp_path / "target.json"
+    src.write_text(source)
+    sf.write_text(json.dumps(encode_solutions(np.array([a]), [np.array([x]) for x in starts], [0.0] * len(starts))))
+    tf.write_text(json.dumps(encode_solutions(np.array([4.0]), [], [])))
+    return str(src), str(sf), str(tf)
+
+
+@pytest.mark.parametrize("source", [POLE_SOURCE, "params a; unknowns x; eqs a/x - 1; x - a;"],
+                         ids=["square", "squared-up"])
+def test_monodromy_start_on_a_pole_exits_2(capsys, tmp_path, source):
+    src, sf, _ = write_pole_start(tmp_path, source)
+    code, _, err = run_cli(capsys, "monodromy", src, "--start", sf)
+    assert code == 2
+    assert err.startswith("error: seed solution sits on a pole")
 
 
 def test_monodromy_unknown_equivalencer(capsys):
@@ -548,6 +569,38 @@ def test_track_start_rejected_by_tracker_is_a_failed_start(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "track", str(src), str(sf), str(tf))
     assert code == 1
     assert out.startswith("tracked: 0/1\nsolutions: 0\n")
+
+
+def test_track_start_on_a_pole_is_a_failed_start(capsys, tmp_path):
+    src, sf, tf = write_pole_start(tmp_path)
+    code, out, _ = run_cli(capsys, "track", src, sf, tf)
+    assert code == 1
+    assert out.startswith("tracked: 0/1\nsolutions: 0\n")
+
+
+def test_track_square_up_skips_a_start_on_a_pole(capsys, tmp_path):
+    # At a = 1, x = -1 solves both equations but is a pole of the second.
+    src, sf, tf = write_pole_start(tmp_path, "params a; unknowns x; eqs x^2 - a; (x^2 - a)/(x + 1);",
+                                   starts=(-1.0, 1.0), a=1.0)
+    code, out, _ = run_cli(capsys, "track", src, sf, tf)
+    assert code == 1
+    assert out.startswith("tracked: 1/2\nsolutions: 1\n")
+
+
+def test_non_finite_solution_json_exits_2(capsys, tmp_path, p3p_track_files):
+    # json reads NaN and Infinity; such input is bad, not a failed path.
+    sf, tf, z0, starts, res = p3p_track_files
+    cubic, _ = write_cubic(tmp_path)
+    nan_target, inf_starts, inf_cubic = (tmp_path / f"{name}.json" for name in ("nan_target", "inf_starts", "inf_cubic"))
+    nan_target.write_text(json.dumps(encode_solutions(np.array([np.nan] + [1.0] * 5), [], [])))
+    inf_starts.write_text(json.dumps(encode_solutions(z0, [starts[0], np.array([np.inf, 0.0, 0.0])], [res[0], 0.0])))
+    inf_cubic.write_text(json.dumps(encode_solutions(np.array([np.inf, -8.0]), [np.array([2.0])], [0.0])))
+    for argv, what in ((["track", "p3p", sf, nan_target], "target solutions"),
+                       (["track", "p3p", inf_starts, tf], "start solutions"),
+                       (["monodromy", cubic, "--start", inf_cubic], "start solutions")):
+        code, out, err = run_cli(capsys, *map(str, argv))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {what} hold a non-finite number")
 
 
 def test_track_missing_file(capsys, tmp_path):

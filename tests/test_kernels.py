@@ -141,14 +141,12 @@ def test_tangent_and_correct_match_the_evaluator_and_lu_solve(make):
             continue
         k = comp.tangent(z, x, v)
         assert close(k, lu_solve(jac, [-e for e in d]), 1e-9)
-        res, x_new, none = comp.correct(z, x, 0.0, v, True)
-        assert none is None
+        res, x_new = comp.correct(z, x, 0.0, True)
         assert res == pytest.approx(float(np.abs(f).max()), rel=1e-15)
         assert close(x_new, np.add(x, lu_solve(jac, [-e for e in f])), 1e-9)
-        # Accepted: no iterate, and the tangent at that point, bit for bit.
-        assert comp.correct(z, x, math.inf, v, True) == (res, None, k)
-        assert comp.correct(z, x, math.inf, None, True) == (res, None, None)
-        assert comp.correct(z, x, 0.0, v, False) == (res, None, None)
+        # No iterate once accepted, or when no step is asked for.
+        assert comp.correct(z, x, math.inf, True) == (res, None)
+        assert comp.correct(z, x, 0.0, False) == (res, None)
 
 
 def test_correct_residual_is_nan_wherever_the_nan_sits():
@@ -157,8 +155,8 @@ def test_correct_residual_is_nan_wherever_the_nan_sits():
     for i in range(3):
         xi = list(x)
         xi[i] = complex("nan")
-        res, x_new, k = comp.correct(z, xi, math.inf, None, False)
-        assert math.isnan(res) and x_new is None and k is None
+        res, x_new = comp.correct(z, xi, math.inf, False)
+        assert math.isnan(res) and x_new is None
 
 
 def test_fused_kernels_keep_the_pole_check():
@@ -169,7 +167,16 @@ def test_fused_kernels_keep_the_pole_check():
     with pytest.raises(EvaluationSingular):
         comp.tangent(z, x, v)
     with pytest.raises(EvaluationSingular):
-        comp.correct(z, x, 1e-8, v, True)
+        comp.correct(z, x, 1e-8, True)
+
+
+def test_tangent_evaluates_no_output_value():
+    # J k = -d never reads f; every division stays, for its pole check.
+    for sysm in (p3p_system(), parse_system(RATIONAL_SOURCE)):
+        kernels = _compile._Kernels(sysm)
+        source = "\n".join(kernels.tangent())
+        assert not any(f"    {value} = " in source for value in kernels.values)
+        assert all(f"    v{nid} = " in source for nid in kernels.poles)
 
 
 def test_only_small_unsquared_square_systems_are_fused():

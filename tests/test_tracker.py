@@ -58,6 +58,17 @@ def test_segment_validation():
         PathSegment([[1.0]], [[2.0]])
 
 
+def test_segment_rejects_non_finite_input():
+    # A NaN gamma fails abs(abs(g) - 1) > 1e-12 as well as its negation.
+    nan = complex("nan")
+    for gammas in ((nan, 1.0), (1.0, nan)):
+        with pytest.raises(ValueError, match="unit modulus"):
+            PathSegment([1.0], [2.0], *gammas)
+    for z_start, z_end in (([nan], [2.0]), ([1.0], [complex("inf")])):
+        with pytest.raises(ValueError, match="finite"):
+            PathSegment(z_start, z_end)
+
+
 def test_path_point_endpoints_exact():
     seg = PathSegment([1.0 + 1j], [4.0], gamma_start=1j, gamma_end=-1j)
     assert np.array_equal(path_point(seg, 0.0), np.array([1.0 + 1j]))
@@ -294,6 +305,12 @@ def test_track_rejects_a_step_whose_evaluation_overflows(route):
         track(sysm, PathSegment([1.0], [2.0]), [1e200])
 
 
+def test_a_start_on_a_pole_is_not_a_solution(route):
+    sysm = parse_system("params a; unknowns x; eqs a/x - 1;")
+    with pytest.raises(ValueError, match="not a solution"):
+        track(sysm, PathSegment([0.0], [1.0]), [0.0])
+
+
 def test_refine_whose_evaluation_overflows_reads_residual_inf(route):
     # The first Newton step from 1e-170 goes to 5e169, whose square overflows.
     out = refine(parse_system("params z; unknowns x; eqs x^2 - z;"), [1.0], [1e-170], 3)
@@ -321,13 +338,13 @@ def test_a_rejected_step_keeps_its_k1(monkeypatch, route):
     real_newton = tracker._newton
     corrections = []
 
-    def newton(comp, z, x, iters, tol=None, v=None):
-        if tol is None:  # the endpoint polish
-            return real_newton(comp, z, x, iters, tol, v)
+    def newton(correct, z, x, iters, tol=None):
+        if tol is None:  # the start check and the endpoint polish
+            return real_newton(correct, z, x, iters, tol)
         if not corrections:  # reject the first step
             corrections.append(False)
-            return x, math.inf, None
-        out = real_newton(comp, z, x, iters, tol, v)
+            return x, math.inf
+        out = real_newton(correct, z, x, iters, tol)
         corrections.append(out[1] <= tol)
         return out
 
@@ -342,12 +359,9 @@ def test_a_rejected_step_keeps_its_k1(monkeypatch, route):
     # t and x, so it keeps the k1 of the rejected one.
     assert len(set(calls)) == len(calls)
     # One k1 per accepted step, the first one's included and the last one's
-    # left out; fused kernels hand over the corrector's instead.
+    # left out, on both routes.
     k1s = len(calls) - 3 * result.steps_taken
-    if route == "fused":
-        assert 1 <= k1s < sum(corrections)
-    else:
-        assert k1s == sum(corrections)
+    assert k1s == sum(corrections)
 
 
 def test_maxabs_is_nan_wherever_the_nan_sits():
